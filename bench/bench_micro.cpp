@@ -30,18 +30,29 @@ void BM_SampleLaplace(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleLaplace);
 
+// Args: point count, then the data shape — 0 gowalla-like (2-d), 1 road-like
+// (2-d, the servebench road size is 163,416), 2 nyc-like (4-d).
 void BM_MortonIndexBuild(benchmark::State& state) {
   Rng rng(2);
   const auto n = static_cast<std::size_t>(state.range(0));
-  const PointSet points = GenerateGowallaLike(n, rng);
+  const PointSet points = state.range(1) == 0   ? GenerateGowallaLike(n, rng)
+                          : state.range(1) == 1 ? GenerateRoadLike(n, rng)
+                                                : GenerateNycLike(n, rng);
+  const Box root = Box::UnitCube(points.dim());
   for (auto _ : state) {
-    MortonIndex index(points, Box::UnitCube(2));
+    MortonIndex index(points, root);
     benchmark::DoNotOptimize(index.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_MortonIndexBuild)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_MortonIndexBuild)
+    ->ArgNames({"n", "shape"})
+    ->Args({10000, 0})
+    ->Args({100000, 0})
+    ->Args({163416, 1})
+    ->Args({98013, 2})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MortonCountPrefix(benchmark::State& state) {
   Rng rng(3);

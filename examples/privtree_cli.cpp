@@ -201,6 +201,14 @@ bool ParseFlags(int argc, char** argv, int first_flag, InputKind input,
                  flags->method.c_str(), required_dim, input.dim);
     return false;
   }
+  const std::size_t max_dim = registry.Get(flags->method).max_dim;
+  if (!input.sequence && max_dim != 0 && input.dim > max_dim) {
+    std::fprintf(stderr,
+                 "error: method \"%s\" fits at most %zu-dimensional data "
+                 "(got dim=%zu)\n",
+                 flags->method.c_str(), max_dim, input.dim);
+    return false;
+  }
   const auto& allowed = registry.AllowedKeys(flags->method);
   for (const std::string& key : flags->options.Keys()) {
     const auto it =

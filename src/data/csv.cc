@@ -1,6 +1,7 @@
 #include "data/csv.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,7 +34,8 @@ Result<PointSet> LoadPointsCsv(const std::string& path, std::size_t dim) {
       errno = 0;
       char* end = nullptr;
       row[j] = std::strtod(field.c_str(), &end);
-      if (end == field.c_str() || errno != 0) {
+      // strtod accepts "nan" and "inf"; no spatial pipeline can place them.
+      if (end == field.c_str() || errno != 0 || !std::isfinite(row[j])) {
         return Status::InvalidArgument(path + ":" +
                                        std::to_string(line_number) +
                                        ": bad numeric field '" + field + "'");

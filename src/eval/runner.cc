@@ -64,11 +64,13 @@ std::string DisplayName(const std::string& name) {
 
 /// Whether a registry method supports `dim`-dimensional inputs at a
 /// reasonable cost, per the registry's capability metadata: the hard
-/// `required_dim` constraint (AG is 2-d only) and the advisory
-/// `max_practical_dim` cost ceiling (complete hierarchies).
+/// `required_dim` and `max_dim` constraints (AG is 2-d only; the Morton
+/// index interleaves at most 8 axes) and the advisory `max_practical_dim`
+/// cost ceiling (complete hierarchies).
 bool SupportsDim(const std::string& name, std::size_t dim) {
   const auto& entry = release::GlobalMethodRegistry().Get(name);
   if (entry.required_dim != 0 && dim != entry.required_dim) return false;
+  if (entry.max_dim != 0 && dim > entry.max_dim) return false;
   if (entry.max_practical_dim != 0 && dim > entry.max_practical_dim) {
     return false;
   }

@@ -160,11 +160,10 @@ inline __m256d CdfValue4(const Grid2DView& g, const Coord4& c0,
   return value;
 }
 
-// The contiguous and indexed batches share this loop; `box_at(i)` is either
-// queries[i] or queries[idx[i]].
-template <typename BoxAt>
-inline void Batch4Impl(const Grid2DView& g, std::size_t n, BoxAt box_at,
-                       double* answers) {
+}  // namespace
+
+void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
+                          double* answers) {
   const __m256d dlo0 = _mm256_set1_pd(g.dlo0);
   const __m256d dhi0 = _mm256_set1_pd(g.dhi0);
   const __m256d dlo1 = _mm256_set1_pd(g.dlo1);
@@ -173,12 +172,13 @@ inline void Batch4Impl(const Grid2DView& g, std::size_t n, BoxAt box_at,
   const __m256d w1 = _mm256_set1_pd(g.w1);
   const __m256d m0 = _mm256_set1_pd(g.m0d);
   const __m256d m1 = _mm256_set1_pd(g.m1d);
+  const std::size_t n = queries.size();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const Box& a = box_at(i);
-    const Box& b = box_at(i + 1);
-    const Box& c = box_at(i + 2);
-    const Box& d = box_at(i + 3);
+    const Box& a = queries[i];
+    const Box& b = queries[i + 1];
+    const Box& c = queries[i + 2];
+    const Box& d = queries[i + 3];
     // std::max(q, dom) returns q on ties; _mm_max_pd(x, y) returns y on
     // ties — so the domain bound rides in the first operand.
     const __m256d lo0 = _mm256_max_pd(
@@ -207,24 +207,7 @@ inline void Batch4Impl(const Grid2DView& g, std::size_t n, BoxAt box_at,
     ans = _mm256_and_pd(valid, ans);
     _mm256_storeu_pd(answers + i, ans);
   }
-  for (; i < n; ++i) answers[i] = GridQueryOne2D(g, box_at(i));
-}
-
-}  // namespace
-
-void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
-                          double* answers) {
-  Batch4Impl(
-      g, queries.size(),
-      [&](std::size_t i) -> const Box& { return queries[i]; }, answers);
-}
-
-void GridQueryBatch2DSimdIdx(const Grid2DView& g, const Box* queries,
-                             const std::uint32_t* idx, std::size_t n,
-                             double* answers) {
-  Batch4Impl(
-      g, n, [&](std::size_t i) -> const Box& { return queries[idx[i]]; },
-      answers);
+  for (; i < n; ++i) answers[i] = GridQueryOne2D(g, queries[i]);
 }
 
 #elif defined(PRIVTREE_SIMD_SSE2)
@@ -282,11 +265,10 @@ inline __m128d CdfValue2(const Grid2DView& g, const Coord2& c0,
   return value;
 }
 
-// The contiguous and indexed batches share this loop; `box_at(i)` is either
-// queries[i] or queries[idx[i]].
-template <typename BoxAt>
-inline void Batch2Impl(const Grid2DView& g, std::size_t n, BoxAt box_at,
-                       double* answers) {
+}  // namespace
+
+void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
+                          double* answers) {
   const __m128d dlo0 = _mm_set1_pd(g.dlo0);
   const __m128d dhi0 = _mm_set1_pd(g.dhi0);
   const __m128d dlo1 = _mm_set1_pd(g.dlo1);
@@ -295,10 +277,11 @@ inline void Batch2Impl(const Grid2DView& g, std::size_t n, BoxAt box_at,
   const __m128d w1 = _mm_set1_pd(g.w1);
   const __m128d m0 = _mm_set1_pd(g.m0d);
   const __m128d m1 = _mm_set1_pd(g.m1d);
+  const std::size_t n = queries.size();
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
-    const Box& a = box_at(i);
-    const Box& b = box_at(i + 1);
+    const Box& a = queries[i];
+    const Box& b = queries[i + 1];
     const __m128d lo0 = _mm_max_pd(dlo0, _mm_set_pd(b.lo(0), a.lo(0)));
     const __m128d hi0 = _mm_min_pd(dhi0, _mm_set_pd(b.hi(0), a.hi(0)));
     const __m128d lo1 = _mm_max_pd(dlo1, _mm_set_pd(b.lo(1), a.lo(1)));
@@ -319,24 +302,7 @@ inline void Batch2Impl(const Grid2DView& g, std::size_t n, BoxAt box_at,
     ans = _mm_and_pd(valid, ans);
     _mm_storeu_pd(answers + i, ans);
   }
-  for (; i < n; ++i) answers[i] = GridQueryOne2D(g, box_at(i));
-}
-
-}  // namespace
-
-void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
-                          double* answers) {
-  Batch2Impl(
-      g, queries.size(),
-      [&](std::size_t i) -> const Box& { return queries[i]; }, answers);
-}
-
-void GridQueryBatch2DSimdIdx(const Grid2DView& g, const Box* queries,
-                             const std::uint32_t* idx, std::size_t n,
-                             double* answers) {
-  Batch2Impl(
-      g, n, [&](std::size_t i) -> const Box& { return queries[idx[i]]; },
-      answers);
+  for (; i < n; ++i) answers[i] = GridQueryOne2D(g, queries[i]);
 }
 
 #else  // No vector ISA: the "SIMD" entry points are the scalar kernel.
@@ -344,14 +310,6 @@ void GridQueryBatch2DSimdIdx(const Grid2DView& g, const Box* queries,
 void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
                           double* answers) {
   GridQueryBatch2DScalar(g, queries, answers);
-}
-
-void GridQueryBatch2DSimdIdx(const Grid2DView& g, const Box* queries,
-                             const std::uint32_t* idx, std::size_t n,
-                             double* answers) {
-  for (std::size_t j = 0; j < n; ++j) {
-    answers[j] = GridQueryOne2D(g, queries[idx[j]]);
-  }
 }
 
 #endif

@@ -21,7 +21,6 @@
 #define PRIVTREE_HIST_GRID_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -52,15 +51,6 @@ void GridQueryBatch2DScalar(const Grid2DView& g, std::span<const Box> queries,
 /// bitwise equal to the scalar batch.
 void GridQueryBatch2DSimd(const Grid2DView& g, std::span<const Box> queries,
                           double* answers);
-
-/// Indexed vectorized batch: answers[j] = GridQueryOne2D(g, queries[idx[j]])
-/// for j in [0, n), same ISA selection and bitwise contract as the
-/// contiguous batch.  For callers that stage scattered (query, grid)
-/// visits — e.g. grouping many queries' boundary cells by sub-grid —
-/// without copying Box objects; duplicate indices are fine.
-void GridQueryBatch2DSimdIdx(const Grid2DView& g, const Box* queries,
-                             const std::uint32_t* idx, std::size_t n,
-                             double* answers);
 
 }  // namespace privtree
 

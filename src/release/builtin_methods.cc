@@ -25,6 +25,7 @@
 #include "release/sequence_methods.h"
 #include "release/serialization.h"
 #include "release/tree_batch.h"
+#include "spatial/morton_index.h"
 #include "spatial/serialization.h"
 #include "spatial/spatial_histogram.h"
 
@@ -740,6 +741,7 @@ void RegisterBuiltinMethods(MethodRegistry& registry) {
                         {"tree_budget_fraction", kDouble, 0, 1, true},
                         {"max_depth", kInt, 1, 4096},
                         {"count_quantum", kDouble, 0, kInf}},
+       .max_dim = MortonIndex::kMaxDim,
        .factory = FactoryFor<PrivTreeMethod>(),
        .loader = SpatialTreeLoaderFor<PrivTreeMethod>()});
   registry.Register(
@@ -750,6 +752,7 @@ void RegisterBuiltinMethods(MethodRegistry& registry) {
                         {"height", kInt, 1, 64},
                         {"theta", kDouble},
                         {"count_quantum", kDouble, 0, kInf}},
+       .max_dim = MortonIndex::kMaxDim,
        .factory = FactoryFor<SimpleTreeMethod>(),
        .loader = SpatialTreeLoaderFor<SimpleTreeMethod>()});
   registry.Register(

@@ -56,6 +56,9 @@ class MethodRegistry {
     /// points (or vice versa) fails with a clean error, never an abort.
     DatasetKind kind = DatasetKind::kSpatial;
     std::size_t required_dim = 0;  ///< Exact input dim required; 0 = any.
+    /// Largest input dim the method can fit at all (a hard limit, enforced
+    /// by user-facing surfaces like required_dim); 0 = no limit.
+    std::size_t max_dim = 0;
     /// Largest dimensionality the method is practical at (cost grows too
     /// fast beyond it — e.g. complete hierarchies); 0 = no limit.
     /// Evaluation lineups use it to decide inclusion; it is advisory, not

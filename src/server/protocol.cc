@@ -543,8 +543,12 @@ Status DecodeRegisterDataset(std::string_view payload,
       if (!r.F64(&out->domain_lo[j]) || !r.F64(&out->domain_hi[j])) {
         return Malformed("RegisterDataset");
       }
-      if (!(out->domain_lo[j] <= out->domain_hi[j])) {  // Rejects NaN too.
-        return Status::InvalidArgument("dataset domain with lo > hi");
+      // Every spatial fit needs a finite root of positive width.
+      if (!std::isfinite(out->domain_lo[j]) ||
+          !std::isfinite(out->domain_hi[j]) ||
+          !(out->domain_lo[j] < out->domain_hi[j])) {
+        return Status::InvalidArgument(
+            "dataset domain needs finite bounds with lo < hi");
       }
     }
     std::uint64_t count = 0;

@@ -10,12 +10,18 @@
 //
 // This is exactly the family of cells PrivTree's spatial policies generate
 // (both the full 2^d bisection and the lower-fanout round-robin splits of
-// Figure 8), which makes tree construction O(nodes · log n) after an
-// O(n log n) sort — crucial for the paper-scale road dataset (1.6M points).
+// Figure 8), which makes tree construction O(nodes · log n) after the
+// index is built.  Building is two linear passes over the points with no
+// scratch buffer beyond the keys themselves: a key pass that spreads each
+// coordinate byte to stride d through a 256-entry table, and an in-place
+// MSD radix sort on key bytes, O(n · w) for w key bytes that still
+// distinguish keys (buckets of at most 64 keys fall back to std::sort).
+// That keeps the paper-scale road dataset (1.6M points) cheap to index.
 #ifndef PRIVTREE_SPATIAL_MORTON_INDEX_H_
 #define PRIVTREE_SPATIAL_MORTON_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "spatial/box.h"
@@ -29,10 +35,15 @@ using MortonKey = unsigned __int128;
 /// Sorted Morton keys over a point set, supporting dyadic-prefix counting.
 class MortonIndex {
  public:
-  /// Builds the index.  `root` must contain all points.  Points are
-  /// discretized to L = kTotalBits/dim bits per dimension; points outside
-  /// the root box are clamped to it.
+  /// Builds the index.  Requires dim() <= kMaxDim and a root of positive
+  /// width in every dimension.  Points are discretized to
+  /// L = min(kTotalBits/dim, 63) bits per dimension; points outside the
+  /// root box are clamped to it.  Coordinates must not be NaN.
   MortonIndex(const PointSet& points, const Box& root);
+
+  /// Largest dimensionality the key interleave supports.  Callers that
+  /// take a dimension from untrusted input screen it against this.
+  static constexpr std::size_t kMaxDim = 8;
 
   /// Total bit budget across dimensions.  126 instead of 128 keeps
   /// (prefix + 1) << shift from overflowing.

@@ -68,6 +68,16 @@ TEST_F(CsvTest, PointsBadNumberIsInvalidArgument) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(CsvTest, PointsNonFiniteFieldIsInvalidArgument) {
+  // strtod parses all of these; none is a point the index can place.
+  for (const char* field : {"nan", "-NaN", "inf", "-Infinity", "nan(7)"}) {
+    WriteFile(std::string("0.1,0.2\n0.3,") + field + "\n");
+    const auto loaded = LoadPointsCsv(path_, 2);
+    ASSERT_FALSE(loaded.ok()) << field;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << field;
+  }
+}
+
 TEST_F(CsvTest, MissingFileIsIOError) {
   const auto loaded = LoadPointsCsv("/nonexistent/nope.csv", 2);
   ASSERT_FALSE(loaded.ok());

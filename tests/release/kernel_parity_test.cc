@@ -98,26 +98,6 @@ TEST(GridKernelParityTest, ScalarAndSimdMatchQueryAndReferenceBitwise) {
   }
 }
 
-TEST(GridKernelParityTest, IndexedBatchMatchesOneShotOnScatteredIndices) {
-  // The AG boundary path feeds the kernel scattered, duplicated query
-  // indices; every answer must equal the one-shot kernel on that query.
-  const GridHistogram grid = NoisyGrid(16, 48, 0x1DB0);
-  const Grid2DView view = grid.KernelView2D();
-  const std::vector<Box> queries = AdversarialQueries(100, 0x1D0);
-  Rng rng(0x1D1);
-  std::vector<std::uint32_t> idx;
-  for (std::size_t j = 0; j < 777; ++j) {
-    idx.push_back(static_cast<std::uint32_t>(rng.NextBounded(
-        static_cast<std::uint64_t>(queries.size()))));
-  }
-  std::vector<double> got(idx.size());
-  GridQueryBatch2DSimdIdx(view, queries.data(), idx.data(), idx.size(),
-                          got.data());
-  for (std::size_t j = 0; j < idx.size(); ++j) {
-    EXPECT_EQ(got[j], GridQueryOne2D(view, queries[idx[j]])) << "slot " << j;
-  }
-}
-
 TEST(GridKernelParityTest, NonTwoDimensionalGridsKeepTheGenericPath) {
   // 3-d grids take the generic QueryImpl everywhere; QueryBatch must still
   // equal Query and the reference bitwise.

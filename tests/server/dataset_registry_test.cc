@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "server/server_loop.h"
 #include "server/socket.h"
 #include "spatial/box.h"
+#include "spatial/morton_index.h"
 #include "spatial/point_set.h"
 
 namespace privtree::server {
@@ -187,6 +189,61 @@ TEST_F(MultiTenantFixture, UploadedDatasetServesAndIsIdempotent) {
   const auto answers =
       other.QueryBatch({"ug", {}, kEpsilon, kSeed}, TestQueries());
   ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+}
+
+TEST_F(MultiTenantFixture, HostileDomainUploadsAreRefusedAndServingGoesOn) {
+  Client client = MustConnect();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  RegisterDatasetRequest upload;
+  upload.name = "hostile";
+  upload.kind = release::DatasetKind::kSpatial;
+  upload.dim = 2;
+  upload.coords = {0.5, 0.5};
+  // A non-finite domain would abort in Box; a zero-width axis would abort
+  // the first privtree fit in the Morton index.
+  const std::vector<std::pair<std::vector<double>, std::vector<double>>>
+      domains = {{{-kInf, 0.0}, {kInf, 1.0}}, {{0.0, 0.5}, {1.0, 0.5}}};
+  for (const auto& [lo, hi] : domains) {
+    upload.domain_lo = lo;
+    upload.domain_hi = hi;
+    const auto refused = client.RegisterDataset(upload);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(registry_->size(), 2u);
+  // The same connection, and a new one, keep serving.
+  client.SelectDataset(left_fp_);
+  EXPECT_TRUE(client.Fit({"privtree", {}, kEpsilon, kSeed}).ok());
+  Client other = MustConnect();
+  other.SelectDataset(right_fp_);
+  EXPECT_TRUE(other.Fit({"privtree", {}, kEpsilon, kSeed}).ok());
+}
+
+TEST_F(MultiTenantFixture, MortonMethodsRefuseDataWiderThanTheKey) {
+  Client client = MustConnect();
+  const std::size_t dim = MortonIndex::kMaxDim + 1;
+  RegisterDatasetRequest upload;
+  upload.name = "wide";
+  upload.kind = release::DatasetKind::kSpatial;
+  upload.dim = dim;
+  upload.domain_lo.assign(dim, 0.0);
+  upload.domain_hi.assign(dim, 1.0);
+  Rng rng(0x91DE);
+  for (std::size_t i = 0; i < 20 * dim; ++i) {
+    upload.coords.push_back(rng.NextDouble());
+  }
+  const auto registered = client.RegisterDataset(upload);
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+  client.SelectDataset(registered.value().fingerprint);
+  for (const char* method : {"privtree", "simpletree"}) {
+    const auto fitted = client.Fit({method, {}, kEpsilon, kSeed});
+    ASSERT_FALSE(fitted.ok()) << method;
+    EXPECT_EQ(fitted.status().code(), StatusCode::kInvalidArgument)
+        << method;
+  }
+  // A method without the Morton index still fits the tenant.
+  const auto kd = client.Fit({"kdtree", {}, kEpsilon, kSeed});
+  EXPECT_TRUE(kd.ok()) << kd.status().ToString();
 }
 
 TEST_F(MultiTenantFixture, SequenceTenantServesNextToSpatialOnes) {

@@ -444,15 +444,30 @@ TEST(ProtocolTest, HostileRegisterDatasetIsRejectedNotFatal) {
                 .code(),
             StatusCode::kInvalidArgument);
 
-  // NaN domain bound (NaN fails the lo <= hi check by design).
+  // NaN domain bound.
   bad.domain_lo = {std::numeric_limits<double>::quiet_NaN()};
   bad.domain_hi = {1.0};
   EXPECT_EQ(DecodeRegisterDataset(EncodeRegisterDataset(bad), &decoded)
                 .code(),
             StatusCode::kInvalidArgument);
 
+  // Infinite bounds pass an lo <= hi test but no root box can hold them.
+  bad.domain_lo = {-std::numeric_limits<double>::infinity()};
+  bad.domain_hi = {std::numeric_limits<double>::infinity()};
+  EXPECT_EQ(DecodeRegisterDataset(EncodeRegisterDataset(bad), &decoded)
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // Zero-width domain: nothing can bisect it.
+  bad.domain_lo = {0.5};
+  bad.domain_hi = {0.5};
+  EXPECT_EQ(DecodeRegisterDataset(EncodeRegisterDataset(bad), &decoded)
+                .code(),
+            StatusCode::kInvalidArgument);
+
   // Non-finite coordinate.
   bad.domain_lo = {0.0};
+  bad.domain_hi = {1.0};
   bad.coords = {std::numeric_limits<double>::infinity()};
   EXPECT_EQ(DecodeRegisterDataset(EncodeRegisterDataset(bad), &decoded)
                 .code(),

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <vector>
 
 #include "dp/rng.h"
@@ -19,6 +22,172 @@ PointSet RandomPoints(std::size_t n, std::size_t dim, Rng& rng) {
     points.Add(p);
   }
   return points;
+}
+
+// Points in tight clusters (plus some background) so deep cells, and deep
+// radix passes, stay populated.
+PointSet ClusteredPoints(std::size_t n, std::size_t dim, Rng& rng) {
+  std::vector<std::vector<double>> centers(4, std::vector<double>(dim));
+  for (auto& center : centers) {
+    for (auto& c : center) c = 0.9 * rng.NextDouble();
+  }
+  PointSet points(dim);
+  std::vector<double> p(dim);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& center = centers[rng.NextBounded(centers.size())];
+    const bool background = rng.NextDouble() < 0.1;
+    for (std::size_t j = 0; j < dim; ++j) {
+      p[j] = background ? rng.NextDouble()
+                        : center[j] + 1e-4 * rng.NextDouble();
+    }
+    points.Add(p);
+  }
+  return points;
+}
+
+// The original bit-by-bit interleave: d × L single-bit shifts per point.
+// The index must reproduce these keys exactly.
+MortonKey ReferenceKey(std::span<const double> point, const Box& root,
+                       int levels) {
+  const double cells = std::ldexp(1.0, levels);
+  const std::uint64_t max_coord = (std::uint64_t{1} << levels) - 1;
+  std::vector<std::uint64_t> coord(point.size());
+  for (std::size_t j = 0; j < point.size(); ++j) {
+    double normalized = (point[j] - root.lo(j)) * (1.0 / root.Width(j));
+    normalized = std::clamp(normalized, 0.0, 1.0);
+    const double scaled = normalized * cells;
+    std::uint64_t c = static_cast<std::uint64_t>(scaled);
+    if (scaled >= cells || c > max_coord) c = max_coord;
+    coord[j] = c;
+  }
+  MortonKey key = 0;
+  for (int level = 0; level < levels; ++level) {
+    for (std::size_t j = 0; j < point.size(); ++j) {
+      const int bit = levels - 1 - level;
+      key = (key << 1) | ((coord[j] >> bit) & 1u);
+    }
+  }
+  return key;
+}
+
+// Checks the index against the reference keys sorted with std::sort:
+// every point's KeyOf, every occupied prefix (and the one after it) at
+// each depth of up to three levels, and every full-depth key.
+void ExpectMatchesReference(const PointSet& points, const Box& root) {
+  const MortonIndex index(points, root);
+  ASSERT_EQ(index.size(), points.size());
+  std::vector<MortonKey> reference;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    reference.push_back(
+        ReferenceKey(points.point(i), root, index.levels_per_dim()));
+    ASSERT_TRUE(index.KeyOf(points.point(i)) == reference.back())
+        << "point " << i;
+  }
+  std::sort(reference.begin(), reference.end());
+  const int max_bits = index.max_prefix_bits();
+  const int shallow = std::min(3 * static_cast<int>(points.dim()), max_bits);
+  std::vector<int> depths;
+  for (int bits = 0; bits <= shallow; ++bits) depths.push_back(bits);
+  depths.push_back(max_bits);
+  for (const int bits : depths) {
+    std::map<MortonKey, std::size_t> brute;
+    for (const MortonKey key : reference) {
+      ++brute[bits == 0 ? 0 : key >> (max_bits - bits)];
+    }
+    for (const auto& [prefix, count] : brute) {
+      ASSERT_EQ(index.CountPrefix(prefix, bits), count) << "bits=" << bits;
+      const MortonKey next = prefix + 1;
+      if (bits > 0 && next >> bits == 0) {
+        const auto it = brute.find(next);
+        ASSERT_EQ(index.CountPrefix(next, bits),
+                  it == brute.end() ? 0u : it->second)
+            << "bits=" << bits;
+      }
+    }
+  }
+}
+
+TEST(MortonIndexTest, KeysMatchBitLoopReferenceInEveryDim) {
+  for (std::size_t dim = 1; dim <= MortonIndex::kMaxDim; ++dim) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    Rng rng(100 + dim);
+    ExpectMatchesReference(RandomPoints(3000, dim, rng),
+                           Box::UnitCube(dim));
+    ExpectMatchesReference(ClusteredPoints(3000, dim, rng),
+                           Box::UnitCube(dim));
+  }
+}
+
+TEST(MortonIndexTest, KeysMatchReferenceWithDuplicates) {
+  for (const std::size_t dim : {1u, 2u, 5u, 8u}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    Rng rng(200 + dim);
+    // Every key repeated: 300 distinct points, 2000 rows.
+    const PointSet distinct = RandomPoints(300, dim, rng);
+    PointSet duplicated(dim);
+    for (int i = 0; i < 2000; ++i) {
+      duplicated.Add(distinct.point(rng.NextBounded(distinct.size())));
+    }
+    ExpectMatchesReference(duplicated, Box::UnitCube(dim));
+    // All keys equal: every radix pass sees one bucket.
+    PointSet same(dim);
+    for (int i = 0; i < 1000; ++i) same.Add(distinct.point(0));
+    ExpectMatchesReference(same, Box::UnitCube(dim));
+  }
+}
+
+TEST(MortonIndexTest, KeysMatchReferenceOnBoundsAndOutsideRoot) {
+  for (std::size_t dim = 1; dim <= MortonIndex::kMaxDim; ++dim) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    Rng rng(300 + dim);
+    PointSet points(dim);
+    std::vector<double> p(dim);
+    for (int i = 0; i < 500; ++i) {
+      for (auto& x : p) {
+        // Low bound, upper bound (clamped into the last cell), far
+        // outside on either side, or inside.
+        const double pick[] = {0.0, 1.0, -3.5, 42.0, rng.NextDouble()};
+        x = pick[rng.NextBounded(5)];
+      }
+      points.Add(p);
+    }
+    ExpectMatchesReference(points, Box::UnitCube(dim));
+  }
+}
+
+TEST(MortonIndexTest, KeysMatchReferenceOnNonUnitRoot) {
+  for (const std::size_t dim : {2u, 3u, 4u, 7u}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    Rng rng(400 + dim);
+    std::vector<double> lo(dim);
+    std::vector<double> hi(dim);
+    for (std::size_t j = 0; j < dim; ++j) {
+      lo[j] = -1000.0 * rng.NextDouble();
+      hi[j] = lo[j] + 1e-3 + 37.0 * rng.NextDouble();
+    }
+    PointSet points(dim);
+    std::vector<double> p(dim);
+    for (int i = 0; i < 3000; ++i) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        p[j] = lo[j] + (hi[j] - lo[j]) * rng.NextDouble();
+      }
+      points.Add(p);
+    }
+    ExpectMatchesReference(points, Box(lo, hi));
+  }
+}
+
+TEST(MortonIndexTest, KeysMatchReferenceOnTinyInputs) {
+  for (std::size_t dim = 1; dim <= MortonIndex::kMaxDim; ++dim) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    Rng rng(500 + dim);
+    const PointSet empty(dim);
+    const MortonIndex index(empty, Box::UnitCube(dim));
+    EXPECT_EQ(index.size(), 0u);
+    EXPECT_EQ(index.CountPrefix(0, 0), 0u);
+    EXPECT_EQ(index.CountPrefix(1, 1), 0u);
+    ExpectMatchesReference(RandomPoints(1, dim, rng), Box::UnitCube(dim));
+  }
 }
 
 TEST(MortonIndexTest, EmptyPrefixCountsEverything) {
