@@ -46,6 +46,7 @@
 // are "freq s1 s2 ...", "prefix s1 s2 ..." or "topk <k> <max_len>" (see
 // release/sequence_query.h).  The answer is printed per line.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,6 +97,13 @@ struct InputKind {
   bool sequence = false;
   std::size_t dim = 0;  ///< Spatial dim, or the sequence alphabet size.
 };
+
+/// Parses the <epsilon> argument: a finite positive number.  `inf` and
+/// `nan` parse as doubles but no fit can spend them.
+bool ParseEpsilon(const char* arg, double* out) {
+  *out = std::atof(arg);
+  return std::isfinite(*out) && *out > 0.0;
+}
 
 /// Parses "<dim>" (1..8) or "seq:<alphabet>" (1..4096); false on anything
 /// else.
@@ -409,8 +417,10 @@ std::shared_ptr<const privtree::release::Method> FitFromCsv(
 int RunRun(int argc, char** argv) {
   if (argc < 5) return Usage(argv[0]);
   InputKind input;
-  const double epsilon = std::atof(argv[4]);
-  if (!ParseDimArg(argv[3], &input) || epsilon <= 0.0) return Usage(argv[0]);
+  double epsilon = 0.0;
+  if (!ParseDimArg(argv[3], &input) || !ParseEpsilon(argv[4], &epsilon)) {
+    return Usage(argv[0]);
+  }
   CliFlags flags;
   if (!ParseFlags(argc, argv, 5, input, &flags)) return 2;
   if (!flags.dataset.empty()) {
@@ -444,8 +454,10 @@ int RunRun(int argc, char** argv) {
 int RunBuild(int argc, char** argv) {
   if (argc < 6) return Usage(argv[0]);
   InputKind input;
-  const double epsilon = std::atof(argv[4]);
-  if (!ParseDimArg(argv[3], &input) || epsilon <= 0.0) return Usage(argv[0]);
+  double epsilon = 0.0;
+  if (!ParseDimArg(argv[3], &input) || !ParseEpsilon(argv[4], &epsilon)) {
+    return Usage(argv[0]);
+  }
   const std::string out_path = argv[5];
   CliFlags flags;
   if (!ParseFlags(argc, argv, 6, input, &flags)) return 2;
@@ -546,8 +558,8 @@ int RunRemoteQuery(int argc, char** argv) {
   std::string host;
   std::uint16_t port = 0;
   if (!ParseConnect(argv[2], &host, &port)) return 2;
-  const double epsilon = std::atof(argv[3]);
-  if (epsilon <= 0.0) return Usage(argv[0]);
+  double epsilon = 0.0;
+  if (!ParseEpsilon(argv[3], &epsilon)) return Usage(argv[0]);
 
   auto connected = privtree::server::Client::Connect(host, port,
                                                   ResilientClientOptions());

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -68,6 +71,25 @@ struct SettleOnce {
   Promise<T> promise;
   std::atomic<bool> settled{false};
 };
+
+/// The post-fit step of a query batch: the kernel over `queries`, timed as
+/// its own span.  The batch runs on one pool task; concurrency comes from
+/// many requests in flight, and a fitted Method is safe to query from any
+/// number of them at once.
+template <typename Query>
+auto AnswerBatch(std::vector<Query> queries) {
+  return [queries = std::move(queries)](const serve::FitResult& fitted,
+                                        const obs::TracePtr& trace) {
+    const auto kernel_start = std::chrono::steady_clock::now();
+    std::vector<double> answers = fitted.method->QueryBatch(
+        std::span<const Query>(queries.data(), queries.size()));
+    const std::uint64_t kernel_us = MicrosSince(kernel_start);
+    KernelHistogram().Observe(kernel_us);
+    if (trace) trace->Record(obs::Span::kKernel, kernel_us);
+    return QueryBatchResponse{Status::OK(), std::move(answers),
+                              fitted.cache_hit};
+  };
+}
 
 }  // namespace
 
@@ -183,8 +205,10 @@ Status AsyncEngine::ValidateSpec(const FitSpec& spec) const {
         std::to_string(max_dim) + "-dimensional data (serving dim=" +
         std::to_string(data_.dim()) + ")");
   }
-  if (!(spec.epsilon > 0.0)) {
-    return Status::InvalidArgument("epsilon must be positive");
+  // +inf passes `> 0` and NaN fails every comparison; either would reach
+  // the fitters' aborting ε checks.
+  if (!std::isfinite(spec.epsilon) || spec.epsilon <= 0.0) {
+    return Status::InvalidArgument("epsilon must be finite and positive");
   }
   const auto& allowed = registry.AllowedKeys(spec.method);
   for (const std::string& key : spec.options.Keys()) {
@@ -253,40 +277,50 @@ void AsyncEngine::RunOne() {
   request.run();
 }
 
-Future<FitResponse> AsyncEngine::SubmitFit(
-    const FitSpec& spec, DeadlineClock::time_point deadline,
-    obs::TracePtr trace) {
-  Promise<FitResponse> promise;
-  Future<FitResponse> future = promise.future();
-  if (Status valid = ValidateSpec(spec); !valid.ok()) {
-    promise.Set({std::move(valid), {}, false});
+template <typename Response, typename Finish>
+Future<Response> AsyncEngine::Submit(const FitSpec& spec, Status screened,
+                                     bool always_fits,
+                                     DeadlineClock::time_point deadline,
+                                     obs::TracePtr trace, Finish finish) {
+  Promise<Response> promise;
+  Future<Response> future = promise.future();
+  if (!screened.ok()) {
+    promise.Set({std::move(screened), {}, false});
     return future;
   }
   const serve::SynopsisKey key = KeyFor(spec);
-  admission_.BeginFit(key);
-  auto shared =
-      std::make_shared<SettleOnce<FitResponse>>(std::move(promise));
-  QueuedRequest request;
-  request.deadline = deadline;
-  request.expire = [this, shared, key](Status status) {
-    admission_.EndFit(key);
+  // Queries against a cached synopsis bypass the fit-load gate (they cost
+  // no fit); only a request that must fit first counts as fit load.
+  const bool needs_fit = always_fits || cache_.Lookup(key) == nullptr;
+  if (needs_fit) admission_.BeginFit(key);
+  auto shared = std::make_shared<SettleOnce<Response>>(std::move(promise));
+  // Settles with an error and releases the fit-load slot.
+  const auto fail = [this, shared, key, needs_fit](Status status) {
+    if (needs_fit) admission_.EndFit(key);
     shared->Set({std::move(status), {}, false});
   };
+  QueuedRequest request;
+  request.deadline = deadline;
+  request.expire = fail;
   const auto submitted = std::chrono::steady_clock::now();
-  request.run = [this, shared, spec, key, deadline, trace, submitted] {
+  request.run = [this, shared, fail, spec, key, needs_fit, deadline, trace,
+                 submitted, finish = std::move(finish)] {
     const std::uint64_t wait_us = MicrosSince(submitted);
     QueueWaitHistogram().Observe(wait_us);
     if (trace) trace->Record(obs::Span::kQueueWait, wait_us);
+    // The watchdog settles the promise but leaves the fit-load slot to
+    // this still-running executor.
     const std::uint64_t watch = BeginWatch(deadline, [shared] {
       shared->Set({Status::DeadlineExceeded(
-                       "deadline passed while the fit was running"),
+                       std::is_same_v<Response, FitResponse>
+                           ? "deadline passed while the fit was running"
+                           : "deadline passed while the request was running"),
                    {},
                    false});
     });
     if (auto f = PRIVTREE_FAULT("engine.fit"); f && f.MaybeSleep()) {
       EndWatch(watch);
-      admission_.EndFit(key);
-      shared->Set({f.ToStatus("engine.fit"), {}, false});
+      fail(f.ToStatus("engine.fit"));
       return;
     }
     const auto fit_start = std::chrono::steady_clock::now();
@@ -299,184 +333,67 @@ Future<FitResponse> AsyncEngine::SubmitFit(
       trace->cache_hit = fitted.cache_hit;
     }
     EndWatch(watch);
-    admission_.EndFit(key);
-    shared->Set({Status::OK(), fitted.method->Metadata(), fitted.cache_hit});
+    if (needs_fit) admission_.EndFit(key);
+    shared->Set(finish(fitted, trace));
   };
-  if (Status queued = Enqueue(request, /*needs_fit=*/true, trace);
-      !queued.ok()) {
-    admission_.EndFit(key);
-    shared->Set({std::move(queued), {}, false});
+  if (Status queued = Enqueue(request, needs_fit, trace); !queued.ok()) {
+    fail(std::move(queued));
   }
   return future;
+}
+
+Future<FitResponse> AsyncEngine::SubmitFit(
+    const FitSpec& spec, DeadlineClock::time_point deadline,
+    obs::TracePtr trace) {
+  return Submit<FitResponse>(
+      spec, ValidateSpec(spec), /*always_fits=*/true, deadline,
+      std::move(trace),
+      [](const serve::FitResult& fitted, const obs::TracePtr&) {
+        return FitResponse{Status::OK(), fitted.method->Metadata(),
+                           fitted.cache_hit};
+      });
 }
 
 Future<QueryBatchResponse> AsyncEngine::SubmitQueryBatch(
     const FitSpec& spec, std::vector<Box> queries,
     DeadlineClock::time_point deadline, obs::TracePtr trace) {
-  Promise<QueryBatchResponse> promise;
-  Future<QueryBatchResponse> future = promise.future();
-  if (Status valid = ValidateSpec(spec); !valid.ok()) {
-    promise.Set({std::move(valid), {}, false});
-    return future;
-  }
+  Status screened = ValidateSpec(spec);
   // ValidateSpec already rejects spatial methods on a sequence engine, but
   // box queries carry their own shape; keep the message direct.
-  if (!data_.is_spatial()) {
-    promise.Set({Status::InvalidArgument(
-                     "box query batches need a spatial served dataset; this "
-                     "server serves sequence data (use SeqQueryBatch)"),
-                 {},
-                 false});
-    return future;
+  if (screened.ok() && !data_.is_spatial()) {
+    screened = Status::InvalidArgument(
+        "box query batches need a spatial served dataset; this server "
+        "serves sequence data (use SeqQueryBatch)");
   }
-  for (const Box& q : queries) {
-    if (q.dim() != data_.dim()) {
-      promise.Set({Status::InvalidArgument(
-                       "query box dim " + std::to_string(q.dim()) +
-                       " != serving dim " + std::to_string(data_.dim())),
-                   {},
-                   false});
-      return future;
+  for (std::size_t i = 0; screened.ok() && i < queries.size(); ++i) {
+    if (queries[i].dim() != data_.dim()) {
+      screened = Status::InvalidArgument(
+          "query box dim " + std::to_string(queries[i].dim()) +
+          " != serving dim " + std::to_string(data_.dim()));
     }
   }
-  const serve::SynopsisKey key = KeyFor(spec);
-  // Queries against a cached synopsis bypass the fit-load gate (they cost
-  // no fit); only a query that must fit first counts as fit load.
-  const bool needs_fit = cache_.Lookup(key) == nullptr;
-  if (needs_fit) admission_.BeginFit(key);
-  auto shared =
-      std::make_shared<SettleOnce<QueryBatchResponse>>(std::move(promise));
-  auto boxes = std::make_shared<std::vector<Box>>(std::move(queries));
-  QueuedRequest request;
-  request.deadline = deadline;
-  request.expire = [this, shared, key, needs_fit](Status status) {
-    if (needs_fit) admission_.EndFit(key);
-    shared->Set({std::move(status), {}, false});
-  };
-  const auto submitted = std::chrono::steady_clock::now();
-  request.run = [this, shared, spec, key, needs_fit, boxes, deadline, trace,
-                 submitted] {
-    const std::uint64_t wait_us = MicrosSince(submitted);
-    QueueWaitHistogram().Observe(wait_us);
-    if (trace) trace->Record(obs::Span::kQueueWait, wait_us);
-    const std::uint64_t watch = BeginWatch(deadline, [shared] {
-      shared->Set({Status::DeadlineExceeded(
-                       "deadline passed while the request was running"),
-                   {},
-                   false});
-    });
-    if (auto f = PRIVTREE_FAULT("engine.fit"); f && f.MaybeSleep()) {
-      EndWatch(watch);
-      if (needs_fit) admission_.EndFit(key);
-      shared->Set({f.ToStatus("engine.fit"), {}, false});
-      return;
-    }
-    const auto fit_start = std::chrono::steady_clock::now();
-    const serve::FitResult fitted = serve::FitSynopsis(
-        data_, dataset_fingerprint_, JobFor(spec), &cache_);
-    const std::uint64_t fit_us = MicrosSince(fit_start);
-    FitHistogram().Observe(fit_us);
-    if (trace) {
-      trace->Record(obs::Span::kFit, fit_us);
-      trace->cache_hit = fitted.cache_hit;
-    }
-    if (needs_fit) admission_.EndFit(key);
-    // The batch runs on this one pool task; concurrency comes from many
-    // requests in flight, and a fitted Method is safe to query from any
-    // number of them at once.
-    EndWatch(watch);
-    const auto kernel_start = std::chrono::steady_clock::now();
-    std::vector<double> answers = fitted.method->QueryBatch(*boxes);
-    const std::uint64_t kernel_us = MicrosSince(kernel_start);
-    KernelHistogram().Observe(kernel_us);
-    if (trace) trace->Record(obs::Span::kKernel, kernel_us);
-    shared->Set({Status::OK(), std::move(answers), fitted.cache_hit});
-  };
-  if (Status queued = Enqueue(request, needs_fit, trace); !queued.ok()) {
-    if (needs_fit) admission_.EndFit(key);
-    shared->Set({std::move(queued), {}, false});
-  }
-  return future;
+  return Submit<QueryBatchResponse>(spec, std::move(screened),
+                                    /*always_fits=*/false, deadline,
+                                    std::move(trace),
+                                    AnswerBatch(std::move(queries)));
 }
 
 Future<QueryBatchResponse> AsyncEngine::SubmitSeqQueryBatch(
     const FitSpec& spec, std::vector<release::SequenceQuery> queries,
     DeadlineClock::time_point deadline, obs::TracePtr trace) {
-  Promise<QueryBatchResponse> promise;
-  Future<QueryBatchResponse> future = promise.future();
-  if (Status valid = ValidateSpec(spec); !valid.ok()) {
-    promise.Set({std::move(valid), {}, false});
-    return future;
+  Status screened = ValidateSpec(spec);
+  if (screened.ok() && !data_.is_sequence()) {
+    screened = Status::InvalidArgument(
+        "sequence query batches need a sequence served dataset; this "
+        "server serves spatial data");
   }
-  if (!data_.is_sequence()) {
-    promise.Set({Status::InvalidArgument(
-                     "sequence query batches need a sequence served "
-                     "dataset; this server serves spatial data"),
-                 {},
-                 false});
-    return future;
+  for (std::size_t i = 0; screened.ok() && i < queries.size(); ++i) {
+    screened = release::ValidateSequenceQuery(queries[i], data_.dim());
   }
-  for (const release::SequenceQuery& q : queries) {
-    if (Status screened = release::ValidateSequenceQuery(q, data_.dim());
-        !screened.ok()) {
-      promise.Set({std::move(screened), {}, false});
-      return future;
-    }
-  }
-  const serve::SynopsisKey key = KeyFor(spec);
-  const bool needs_fit = cache_.Lookup(key) == nullptr;
-  if (needs_fit) admission_.BeginFit(key);
-  auto shared =
-      std::make_shared<SettleOnce<QueryBatchResponse>>(std::move(promise));
-  auto specs = std::make_shared<std::vector<release::SequenceQuery>>(
-      std::move(queries));
-  QueuedRequest request;
-  request.deadline = deadline;
-  request.expire = [this, shared, key, needs_fit](Status status) {
-    if (needs_fit) admission_.EndFit(key);
-    shared->Set({std::move(status), {}, false});
-  };
-  const auto submitted = std::chrono::steady_clock::now();
-  request.run = [this, shared, spec, key, needs_fit, specs, deadline, trace,
-                 submitted] {
-    const std::uint64_t wait_us = MicrosSince(submitted);
-    QueueWaitHistogram().Observe(wait_us);
-    if (trace) trace->Record(obs::Span::kQueueWait, wait_us);
-    const std::uint64_t watch = BeginWatch(deadline, [shared] {
-      shared->Set({Status::DeadlineExceeded(
-                       "deadline passed while the request was running"),
-                   {},
-                   false});
-    });
-    if (auto f = PRIVTREE_FAULT("engine.fit"); f && f.MaybeSleep()) {
-      EndWatch(watch);
-      if (needs_fit) admission_.EndFit(key);
-      shared->Set({f.ToStatus("engine.fit"), {}, false});
-      return;
-    }
-    const auto fit_start = std::chrono::steady_clock::now();
-    const serve::FitResult fitted = serve::FitSynopsis(
-        data_, dataset_fingerprint_, JobFor(spec), &cache_);
-    const std::uint64_t fit_us = MicrosSince(fit_start);
-    FitHistogram().Observe(fit_us);
-    if (trace) {
-      trace->Record(obs::Span::kFit, fit_us);
-      trace->cache_hit = fitted.cache_hit;
-    }
-    if (needs_fit) admission_.EndFit(key);
-    EndWatch(watch);
-    const auto kernel_start = std::chrono::steady_clock::now();
-    std::vector<double> answers = fitted.method->QueryBatch(*specs);
-    const std::uint64_t kernel_us = MicrosSince(kernel_start);
-    KernelHistogram().Observe(kernel_us);
-    if (trace) trace->Record(obs::Span::kKernel, kernel_us);
-    shared->Set({Status::OK(), std::move(answers), fitted.cache_hit});
-  };
-  if (Status queued = Enqueue(request, needs_fit, trace); !queued.ok()) {
-    if (needs_fit) admission_.EndFit(key);
-    shared->Set({std::move(queued), {}, false});
-  }
-  return future;
+  return Submit<QueryBatchResponse>(spec, std::move(screened),
+                                    /*always_fits=*/false, deadline,
+                                    std::move(trace),
+                                    AnswerBatch(std::move(queries)));
 }
 
 std::size_t AsyncEngine::Warm(std::span<const FitSpec> specs) {

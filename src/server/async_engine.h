@@ -4,12 +4,15 @@
 // One engine binds one dataset — spatial points with their declared
 // domain, or a symbol-sequence dataset — and serves many concurrent
 // clients.  Submission is cheap and
-// non-blocking: SubmitFit/SubmitQueryBatch validate the spec, pass
-// admission control, enqueue the request, and return a Future the caller
-// redeems whenever it likes; execution happens on the pool, one request
-// per task, with every fit memoized through the cache (identical in-flight
-// fits collapse onto the cache's single-flight path and are counted as
-// coalesced by the AdmissionController).  Answers are bit-for-bit the
+// non-blocking: SubmitFit/SubmitQueryBatch/SubmitSeqQueryBatch screen the
+// spec and their queries, pass admission control, enqueue the request, and
+// return a Future the caller redeems whenever it likes; execution happens
+// on the pool, one request per task, with every fit memoized through the
+// cache (identical in-flight fits collapse onto the cache's single-flight
+// path and are counted as coalesced by the AdmissionController).  All
+// three share one run path — queue wait, watchdog, fit, settle — and
+// differ only in the step after the fit: metadata for a fit, the batch
+// kernel for queries.  Answers are bit-for-bit the
 // answers an in-process ReleaseSession with the same seed would produce,
 // because the fit path *is* the ParallelRunner fit path
 // (serve::FitSynopsis) and queries are pure post-processing.
@@ -131,9 +134,10 @@ class AsyncEngine {
 
   /// Non-OK when the spec cannot be served: unregistered method, a method
   /// kind that does not match the served dataset, wrong dimensionality,
-  /// non-positive ε, unknown option key or out-of-range value (the
-  /// registry's OptionKey ranges cover the sequence keys too, so a hostile
-  /// socket client never reaches a fitter's aborting contract check).
+  /// non-finite or non-positive ε, unknown option key or out-of-range
+  /// value (the registry's OptionKey ranges cover the sequence keys too, so
+  /// a hostile socket client never reaches a fitter's aborting contract
+  /// check).
   Status ValidateSpec(const FitSpec& spec) const;
 
   StatsSnapshot Stats() const;
@@ -166,6 +170,18 @@ class AsyncEngine {
                            std::function<void()> fail) EXCLUDES(watch_mu_);
   void EndWatch(std::uint64_t id) EXCLUDES(watch_mu_);
   void RunWatchdog(std::uint64_t poll_millis) EXCLUDES(watch_mu_);
+
+  /// The run path every Submit* shares: resolves the future with
+  /// `screened` when it is not OK, otherwise admits and enqueues the
+  /// request, and on the pool records the queue wait, arms the watchdog,
+  /// fits through the cache, and settles once with `finish(fitted, trace)`.
+  /// `always_fits` charges the fit-load gate even when the key is cached
+  /// (fits do; queries against a cached synopsis do not).
+  template <typename Response, typename Finish>
+  Future<Response> Submit(const FitSpec& spec, Status screened,
+                          bool always_fits,
+                          DeadlineClock::time_point deadline,
+                          obs::TracePtr trace, Finish finish);
 
   /// Admission + enqueue for one fit-carrying request; on success schedules
   /// a pool task and returns OK.  On failure the caller resolves the future

@@ -11,16 +11,21 @@
 // Status a PrivacyBudget overdraw maps to on this surface) and never
 // aborts: budget exhaustion is expected client behaviour, not a bug.
 //
-// A charge for a request that subsequently *fails* (shed load, expired
-// deadline, invalid spec caught server-side) is refunded, so transient
-// overload cannot eat a tenant's budget.
+// A charge whose requests all *fail* (shed load, expired deadline, invalid
+// spec caught server-side) is refunded, so transient overload cannot eat a
+// tenant's budget.  Requests on one key may overlap — a pipelined repeat
+// rides the first request's charge for free — so every admitted request is
+// a *holder* of its key until it settles, and the refund waits for the
+// last holder: once any holder delivered answers, the key stays paid.
 //
-// Thread-safe: the event loop charges on the loop thread and refunds from
+// Thread-safe: the event loop charges on the loop thread and settles from
 // pool-thread completion callbacks.
 #ifndef PRIVTREE_SERVER_CLIENT_SESSION_H_
 #define PRIVTREE_SERVER_CLIENT_SESSION_H_
 
-#include <set>
+#include <cstddef>
+#include <map>
+#include <string>
 
 #include "core/sync.h"
 #include "dp/status.h"
@@ -30,15 +35,6 @@ namespace privtree::server {
 
 class ClientSession {
  public:
-  /// Outcome of one budget charge.  `charged` is true only when this call
-  /// actually debited the budget (a repeated key is free and a refusal
-  /// debits nothing) — the flag the completion path needs to decide
-  /// whether a failed request must refund.
-  struct ChargeOutcome {
-    Status status;
-    bool charged = false;
-  };
-
   /// `budget_total` is the Σε ceiling across this session's fits; 0 means
   /// unlimited (the default when the server enforces no session budget).
   explicit ClientSession(double budget_total) : total_(budget_total) {}
@@ -46,28 +42,42 @@ class ClientSession {
   ClientSession(const ClientSession&) = delete;
   ClientSession& operator=(const ClientSession&) = delete;
 
-  /// Charges `epsilon` for `key` unless this session already paid for it.
-  /// OutOfRange when the charge would overdraw the budget.
-  ChargeOutcome Charge(const serve::SynopsisKey& key, double epsilon) {
+  /// Charges `epsilon` for `key` unless this session already paid for it,
+  /// and registers the caller as one holder of the key; every OK must be
+  /// matched by exactly one Settle.  OutOfRange (and nothing registered)
+  /// when the charge would overdraw the budget.
+  Status Charge(const serve::SynopsisKey& key, double epsilon) {
     MutexLock lk(mu_);
-    if (paid_.contains(key)) return {Status::OK(), false};
+    if (auto it = paid_.find(key); it != paid_.end()) {
+      ++it->second.in_flight;
+      return Status::OK();
+    }
     if (total_ > 0.0 && spent_ + epsilon > total_ * (1.0 + 1e-12)) {
-      return {Status::OutOfRange(
-                  "session privacy budget exhausted: spent " +
-                  std::to_string(spent_) + " of " + std::to_string(total_) +
-                  ", request needs " + std::to_string(epsilon)),
-              false};
+      return Status::OutOfRange(
+          "session privacy budget exhausted: spent " +
+          std::to_string(spent_) + " of " + std::to_string(total_) +
+          ", request needs " + std::to_string(epsilon));
     }
     spent_ += epsilon;
-    paid_.insert(key);
-    return {Status::OK(), true};
+    paid_.emplace(key, Holders{1, false});
+    return Status::OK();
   }
 
-  /// Reverses a Charge whose request failed; only call when the matching
-  /// ChargeOutcome reported `charged`.
-  void Refund(const serve::SynopsisKey& key, double epsilon) {
+  /// Retires one holder of `key`; `delivered` says whether its request
+  /// released answers.  The charge is refunded only when the last holder
+  /// settles and no holder since the charge delivered.
+  void Settle(const serve::SynopsisKey& key, double epsilon,
+              bool delivered) {
     MutexLock lk(mu_);
-    if (paid_.erase(key) > 0) spent_ -= epsilon;
+    const auto it = paid_.find(key);
+    if (it == paid_.end()) return;
+    Holders& holders = it->second;
+    --holders.in_flight;
+    holders.delivered = holders.delivered || delivered;
+    if (holders.in_flight == 0 && !holders.delivered) {
+      paid_.erase(it);
+      spent_ -= epsilon;
+    }
   }
 
   double budget_total() const { return total_; }
@@ -78,10 +88,15 @@ class ClientSession {
   }
 
  private:
+  struct Holders {
+    std::size_t in_flight = 0;  ///< Admitted requests not yet settled.
+    bool delivered = false;     ///< Some holder released answers.
+  };
+
   const double total_;
   mutable Mutex mu_;
   double spent_ GUARDED_BY(mu_) = 0.0;
-  std::set<serve::SynopsisKey> paid_ GUARDED_BY(mu_);  // Keys already charged.
+  std::map<serve::SynopsisKey, Holders> paid_ GUARDED_BY(mu_);
 };
 
 }  // namespace privtree::server

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "core/sync.h"
 #include "obs/export.h"
 #include "release/registry.h"
 #include "server/request.h"
@@ -40,34 +39,43 @@ AsyncEngine* FindEngine(const DatasetRegistry& registry,
   return engine;
 }
 
-/// Validates the spec, charges the session, and hands back the charge
-/// bookkeeping the completion callback needs; a non-OK outcome already
-/// answered `done`.  Validation must precede KeyFor — canonicalizing the
-/// options of an unregistered method is a contract violation.
-struct BudgetTicket {
-  bool ok = false;
-  bool charged = false;
-  serve::SynopsisKey key;
-};
+std::string EncodeAnswers(const QueryBatchResponse& response) {
+  return EncodeQueryBatchReply({response.answers, response.cache_hit});
+}
 
-BudgetTicket ChargeOrRefuse(AsyncEngine& engine, const FitSpec& spec,
-                            const std::shared_ptr<ClientSession>& session,
-                            const Dispatcher::Done& done) {
-  if (Status valid = engine.ValidateSpec(spec); !valid.ok()) {
+/// The shared tail of every fit-carrying frame (Fit, QueryBatch,
+/// SeqQueryBatch) once decoded: find the tenant, validate the spec, charge
+/// the session, submit through `submit(engine)`, and when the engine
+/// answers settle the charge and encode the reply with `encode(response)`.
+/// Validation must precede KeyFor — canonicalizing the options of an
+/// unregistered method is a contract violation.
+template <typename Submit, typename Encode>
+void ServeRelease(const DatasetRegistry& registry, std::uint64_t fingerprint,
+                  const FitSpec& spec,
+                  const std::shared_ptr<ClientSession>& session,
+                  Dispatcher::Done done, const obs::TracePtr& trace,
+                  Submit submit, Encode encode) {
+  AsyncEngine* engine = FindEngine(registry, fingerprint, done);
+  if (engine == nullptr) return;
+  if (Status valid = engine->ValidateSpec(spec); !valid.ok()) {
     done(EncodeErrorReply(valid));
-    return {};
+    return;
   }
-  BudgetTicket ticket;
-  ticket.key = engine.KeyFor(spec);
-  const ClientSession::ChargeOutcome outcome =
-      session->Charge(ticket.key, spec.epsilon);
-  if (!outcome.status.ok()) {
-    done(EncodeErrorReply(outcome.status));
-    return {};
+  const serve::SynopsisKey key = engine->KeyFor(spec);
+  if (Status charged = session->Charge(key, spec.epsilon); !charged.ok()) {
+    done(EncodeErrorReply(charged));
+    return;
   }
-  ticket.ok = true;
-  ticket.charged = outcome.charged;
-  return ticket;
+  submit(*engine).OnReady(
+      [done = std::move(done), session, key, epsilon = spec.epsilon, trace,
+       encode = std::move(encode)](const auto& response) {
+        session->Settle(key, epsilon, response.status.ok());
+        if (!response.status.ok()) {
+          done(EncodeErrorReply(response.status));
+          return;
+        }
+        done(EncodeWithSpan(trace, [&] { return encode(response); }));
+      });
 }
 
 }  // namespace
@@ -118,26 +126,16 @@ void Dispatcher::HandleFrame(std::string_view payload,
         done(EncodeErrorReply(s));
         return;
       }
-      AsyncEngine* engine =
-          FindEngine(registry_, request.dataset_fingerprint, done);
-      if (engine == nullptr) return;
-      const BudgetTicket ticket =
-          ChargeOrRefuse(*engine, request.spec, session, done);
-      if (!ticket.ok) return;
-      const double epsilon = request.spec.epsilon;
-      engine
-          ->SubmitFit(request.spec,
-                      DeadlineFromMillis(request.deadline_millis), trace)
-          .OnReady([done = std::move(done), session, ticket, epsilon,
-                    trace](const FitResponse& response) {
-            if (!response.status.ok()) {
-              if (ticket.charged) session->Refund(ticket.key, epsilon);
-              done(EncodeErrorReply(response.status));
-              return;
-            }
-            done(EncodeWithSpan(trace, [&] {
-              return EncodeFitReply({response.metadata, response.cache_hit});
-            }));
+      ServeRelease(
+          registry_, request.dataset_fingerprint, request.spec, session,
+          std::move(done), trace,
+          [&](AsyncEngine& engine) {
+            return engine.SubmitFit(
+                request.spec, DeadlineFromMillis(request.deadline_millis),
+                trace);
+          },
+          [](const FitResponse& response) {
+            return EncodeFitReply({response.metadata, response.cache_hit});
           });
       return;
     }
@@ -148,29 +146,15 @@ void Dispatcher::HandleFrame(std::string_view payload,
         done(EncodeErrorReply(s));
         return;
       }
-      AsyncEngine* engine =
-          FindEngine(registry_, request.dataset_fingerprint, done);
-      if (engine == nullptr) return;
-      const BudgetTicket ticket =
-          ChargeOrRefuse(*engine, request.spec, session, done);
-      if (!ticket.ok) return;
-      const double epsilon = request.spec.epsilon;
-      engine
-          ->SubmitQueryBatch(request.spec, std::move(request.queries),
-                             DeadlineFromMillis(request.deadline_millis),
-                             trace)
-          .OnReady([done = std::move(done), session, ticket, epsilon,
-                    trace](const QueryBatchResponse& response) {
-            if (!response.status.ok()) {
-              if (ticket.charged) session->Refund(ticket.key, epsilon);
-              done(EncodeErrorReply(response.status));
-              return;
-            }
-            done(EncodeWithSpan(trace, [&] {
-              return EncodeQueryBatchReply(
-                  {response.answers, response.cache_hit});
-            }));
-          });
+      ServeRelease(
+          registry_, request.dataset_fingerprint, request.spec, session,
+          std::move(done), trace,
+          [&](AsyncEngine& engine) {
+            return engine.SubmitQueryBatch(
+                request.spec, std::move(request.queries),
+                DeadlineFromMillis(request.deadline_millis), trace);
+          },
+          EncodeAnswers);
       return;
     }
 
@@ -180,29 +164,15 @@ void Dispatcher::HandleFrame(std::string_view payload,
         done(EncodeErrorReply(s));
         return;
       }
-      AsyncEngine* engine =
-          FindEngine(registry_, request.dataset_fingerprint, done);
-      if (engine == nullptr) return;
-      const BudgetTicket ticket =
-          ChargeOrRefuse(*engine, request.spec, session, done);
-      if (!ticket.ok) return;
-      const double epsilon = request.spec.epsilon;
-      engine
-          ->SubmitSeqQueryBatch(request.spec, std::move(request.queries),
-                                DeadlineFromMillis(request.deadline_millis),
-                                trace)
-          .OnReady([done = std::move(done), session, ticket, epsilon,
-                    trace](const QueryBatchResponse& response) {
-            if (!response.status.ok()) {
-              if (ticket.charged) session->Refund(ticket.key, epsilon);
-              done(EncodeErrorReply(response.status));
-              return;
-            }
-            done(EncodeWithSpan(trace, [&] {
-              return EncodeQueryBatchReply(
-                  {response.answers, response.cache_hit});
-            }));
-          });
+      ServeRelease(
+          registry_, request.dataset_fingerprint, request.spec, session,
+          std::move(done), trace,
+          [&](AsyncEngine& engine) {
+            return engine.SubmitSeqQueryBatch(
+                request.spec, std::move(request.queries),
+                DeadlineFromMillis(request.deadline_millis), trace);
+          },
+          EncodeAnswers);
       return;
     }
 
@@ -234,27 +204,6 @@ void Dispatcher::HandleFrame(std::string_view payload,
           " (reply tags are server-to-client only)")));
       return;
   }
-}
-
-std::string Dispatcher::HandleFrameBlocking(
-    std::string_view payload, const std::shared_ptr<ClientSession>& session,
-    bool* shutdown) {
-  Mutex mu;
-  CondVar cv;
-  std::string reply;
-  bool ready = false;
-  HandleFrame(payload, session, shutdown, [&](std::string out) {
-    // Notify while still holding the lock: the waiter destroys mu/cv as
-    // soon as it observes `ready`, so an unlocked NotifyOne could touch a
-    // dead condition variable (TSan catches exactly that).
-    MutexLock lk(mu);
-    reply = std::move(out);
-    ready = true;
-    cv.NotifyOne();
-  });
-  MutexLock lk(mu);
-  while (!ready) cv.Wait(lk);
-  return reply;
 }
 
 std::string Dispatcher::HandleHello(std::string_view payload,

@@ -1,26 +1,27 @@
-// Protocol dispatch shared by both serving loops.
+// Protocol dispatch for the serving front end.
 //
 // One Dispatcher turns a decoded frame into a reply payload against a
 // DatasetRegistry (which tenant?) and a ClientSession (how much budget is
-// left?).  The thread-per-connection ServerLoop and the epoll EventLoop
-// both route every frame through this one switch, so "epoll answers are
-// bit-for-bit thread-loop answers" holds structurally: there is exactly
-// one implementation of the protocol semantics.
+// left?).  The epoll EventLoop routes every frame through this one switch,
+// and the in-process replay of the serving benchmark calls it directly,
+// so there is exactly one implementation of the protocol semantics.
 //
 // The API is asynchronous: HandleFrame invokes `done(reply)` exactly once —
 // synchronously for control frames (Hello, Warm, Stats, Shutdown,
 // RegisterDataset) and every error caught before submission, or from a
 // pool thread's completion callback for engine-backed frames (Fit,
 // QueryBatch, SeqQueryBatch), which is what lets the event loop pipeline
-// requests without parking a thread per in-flight frame.  The blocking
-// wrapper exists for the thread-per-connection loop.
+// requests without parking a thread per in-flight frame.  The three
+// engine-backed frames share one path after decoding: find the tenant,
+// validate, charge, submit, settle, encode.
 //
 // Budget semantics: every fit-carrying request charges its spec's ε to the
 // session the first time the session touches that synopsis key (repeats
-// are free — queries are post-processing); a request that then *fails*
-// refunds the charge.  Warm is exempt: prefetch returns no released
-// values, and billing a background cache fill to whichever client happened
-// to request it would double-charge the client that later reads it.
+// are free — queries are post-processing); the charge is refunded only
+// when every request holding it failed (see server/client_session.h).
+// Warm is exempt: prefetch returns no released values, and billing a
+// background cache fill to whichever client happened to request it would
+// double-charge the client that later reads it.
 #ifndef PRIVTREE_SERVER_DISPATCHER_H_
 #define PRIVTREE_SERVER_DISPATCHER_H_
 
@@ -74,12 +75,6 @@ class Dispatcher {
   void HandleFrame(std::string_view payload,
                    const std::shared_ptr<ClientSession>& session,
                    bool* shutdown, Done done, obs::TracePtr trace = {});
-
-  /// Blocking form for the thread-per-connection loop: parks the calling
-  /// thread until the reply is ready.
-  std::string HandleFrameBlocking(
-      std::string_view payload,
-      const std::shared_ptr<ClientSession>& session, bool* shutdown);
 
   DatasetRegistry& registry() const { return registry_; }
   const DispatcherOptions& options() const { return options_; }

@@ -25,8 +25,8 @@
 #include "server/client.h"
 #include "server/dataset_registry.h"
 #include "server/dispatcher.h"
+#include "server/event/event_loop.h"
 #include "server/protocol.h"
-#include "server/server_loop.h"
 #include "server/socket.h"
 #include "spatial/box.h"
 #include "spatial/morton_index.h"
@@ -56,7 +56,7 @@ std::vector<Box> TestQueries(std::size_t n = 10) {
   return GenerateRangeQueries(Box::UnitCube(2), n, kMediumQueries, rng);
 }
 
-/// Two spatial tenants on one ServerLoop, plus knobs for budget tests.
+/// Two spatial tenants on one EventLoop, plus knobs for budget tests.
 class MultiTenantFixture : public ::testing::Test {
  protected:
   void SetUp() override { Start({}); }
@@ -79,7 +79,7 @@ class MultiTenantFixture : public ::testing::Test {
     dispatcher_ = std::make_unique<Dispatcher>(*registry_, options);
     auto listener = ListenSocket::Listen(0);
     ASSERT_TRUE(listener.ok());
-    loop_ = std::make_unique<ServerLoop>(*dispatcher_,
+    loop_ = std::make_unique<EventLoop>(*dispatcher_,
                                          std::move(listener).value());
     port_ = loop_->port();
     serving_ = std::thread([this] { EXPECT_TRUE(loop_->Run().ok()); });
@@ -102,7 +102,7 @@ class MultiTenantFixture : public ::testing::Test {
   std::unique_ptr<serve::SynopsisCache> cache_;
   std::unique_ptr<DatasetRegistry> registry_;
   std::unique_ptr<Dispatcher> dispatcher_;
-  std::unique_ptr<ServerLoop> loop_;
+  std::unique_ptr<EventLoop> loop_;
   std::uint64_t left_fp_ = 0;
   std::uint64_t right_fp_ = 0;
   std::uint16_t port_ = 0;
@@ -383,7 +383,7 @@ TEST(DatasetRegistryUnitTest, UploadsCanBeDisabled) {
 
   auto listener = ListenSocket::Listen(0);
   ASSERT_TRUE(listener.ok());
-  ServerLoop loop(dispatcher, std::move(listener).value());
+  EventLoop loop(dispatcher, std::move(listener).value());
   std::thread serving([&loop] { EXPECT_TRUE(loop.Run().ok()); });
   auto connected = Client::Connect("127.0.0.1", loop.port());
   ASSERT_TRUE(connected.ok());

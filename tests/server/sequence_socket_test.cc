@@ -1,4 +1,4 @@
-// Served sequence traffic, end to end: a ServerLoop over a sequence-kind
+// Served sequence traffic, end to end: an EventLoop over a sequence-kind
 // AsyncEngine answers remote pst_privtree / ngram fits and SequenceQuery
 // batches bit-for-bit like an in-process ReleaseSession, hostile specs
 // (out-of-range options, out-of-alphabet symbols, wrong query shape) come
@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -27,8 +28,8 @@
 #include "server/client.h"
 #include "server/dataset_registry.h"
 #include "server/dispatcher.h"
+#include "server/event/event_loop.h"
 #include "server/protocol.h"
-#include "server/server_loop.h"
 #include "server/socket.h"
 #include "spatial/box.h"
 #include "spatial/point_set.h"
@@ -103,7 +104,7 @@ class SequenceServerFixture : public ::testing::Test {
     dispatcher_ = std::make_unique<Dispatcher>(*registry_);
     auto listener = ListenSocket::Listen(0);
     ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-    loop_ = std::make_unique<ServerLoop>(*dispatcher_,
+    loop_ = std::make_unique<EventLoop>(*dispatcher_,
                                          std::move(listener).value());
     port_ = loop_->port();
     serving_ = std::thread([this] { EXPECT_TRUE(loop_->Run().ok()); });
@@ -125,7 +126,7 @@ class SequenceServerFixture : public ::testing::Test {
   std::unique_ptr<serve::SynopsisCache> cache_;
   std::unique_ptr<DatasetRegistry> registry_;
   std::unique_ptr<Dispatcher> dispatcher_;
-  std::unique_ptr<ServerLoop> loop_;
+  std::unique_ptr<EventLoop> loop_;
   std::uint16_t port_ = 0;
   std::thread serving_;
 };
@@ -227,6 +228,41 @@ TEST_F(SequenceServerFixture, HostileSpecsGetCleanStatuses) {
   // The connection survives all of the above.
   const FitSpec spec{"pst_privtree", SeqOptions(), kEpsilon, kSeed};
   EXPECT_TRUE(client.SeqQueryBatch(spec, queries).ok());
+}
+
+TEST_F(SequenceServerFixture, InfiniteEpsilonIsRefusedWithoutChargeOrCrash) {
+  // +inf passes a bare `epsilon > 0` screen and aborts in the fitters'
+  // contract checks; the server must refuse it as a bad spec instead.
+  auto dialed = Connection::Dial("127.0.0.1", port_);
+  ASSERT_TRUE(dialed.ok());
+  Connection conn = std::move(dialed).value();
+  const auto round_trip = [&conn](const std::string& payload) {
+    EXPECT_TRUE(conn.SendFrame(payload).ok());
+    auto reply = conn.RecvFrame();
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    return reply.ok() ? std::move(reply).value() : std::string();
+  };
+  const FitSpec infinite{"pst_privtree", SeqOptions(),
+                         std::numeric_limits<double>::infinity(), kSeed};
+  Status carried;
+  ASSERT_TRUE(DecodeErrorReply(
+                  round_trip(EncodeSeqQueryBatch({infinite, 0, 0,
+                                                  TestQueries()})),
+                  &carried)
+                  .ok());
+  EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
+  // The session was charged nothing...
+  HelloReply hello;
+  ASSERT_TRUE(
+      DecodeHelloReply(round_trip(EncodeHello(HelloRequest{})), &hello).ok());
+  EXPECT_EQ(hello.budget_spent, 0.0);
+  // ...and the server is still serving.
+  Client client = MustConnect();
+  EXPECT_TRUE(client
+                  .SeqQueryBatch({"pst_privtree", SeqOptions(), kEpsilon,
+                                  kSeed},
+                                 TestQueries())
+                  .ok());
 }
 
 TEST_F(SequenceServerFixture, SpatialEngineRejectsSeqQueryBatch) {
