@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the library's hot paths: Laplace
-// sampling, Morton counting, PrivTree construction, range queries, PST
-// construction.  These are engineering benchmarks (not paper artifacts)
+// sampling, Morton counting, PrivTree construction, range queries, PST and
+// n-gram construction.  These are engineering benchmarks (not paper artifacts)
 // used to keep the reproduction fast enough for the paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include "dp/distributions.h"
 #include "dp/rng.h"
 #include "eval/workload.h"
+#include "seq/ngram.h"
 #include "seq/pst_privtree.h"
 #include "spatial/morton_index.h"
 #include "spatial/spatial_histogram.h"
@@ -95,20 +96,48 @@ void BM_RangeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RangeQuery);
 
+// Args: sequence count, then the data shape — 0 msnbc-like, 1 mooc-like
+// (the servebench mooc tenant is kMoocCardinality sequences).  The raw
+// data goes in: the builders truncate at l⊤ themselves, as a served fit
+// does.
+SequenceDataset SequenceShape(const benchmark::State& state,
+                              std::size_t* l_top) {
+  Rng rng(8);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  *l_top = state.range(1) == 0 ? kMsnbcLTop : kMoocLTop;
+  return state.range(1) == 0 ? GenerateMsnbcLike(n, rng)
+                             : GenerateMoocLike(n, rng);
+}
+
 void BM_PrivatePstBuild(benchmark::State& state) {
-  Rng data_rng(8);
-  const SequenceDataset data =
-      GenerateMsnbcLike(static_cast<std::size_t>(state.range(0)), data_rng)
-          .Truncate(kMsnbcLTop);
-  Rng rng(9);
   PrivatePstOptions options;
-  options.l_top = kMsnbcLTop;
+  const SequenceDataset data = SequenceShape(state, &options.l_top);
+  Rng rng(9);
   for (auto _ : state) {
     const auto result = BuildPrivatePst(data, 1.0, options, rng);
     benchmark::DoNotOptimize(result.model.size());
   }
 }
-BENCHMARK(BM_PrivatePstBuild)->Arg(10000)->Arg(50000);
+BENCHMARK(BM_PrivatePstBuild)
+    ->ArgNames({"n", "shape"})
+    ->Args({10000, 0})
+    ->Args({50000, 0})
+    ->Args({static_cast<std::int64_t>(kMoocCardinality), 1})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_NgramBuild(benchmark::State& state) {
+  NgramOptions options;
+  const SequenceDataset data = SequenceShape(state, &options.l_top);
+  Rng rng(10);
+  for (auto _ : state) {
+    const NgramModel model(data, 1.0, options, rng);
+    benchmark::DoNotOptimize(model.size());
+  }
+}
+BENCHMARK(BM_NgramBuild)
+    ->ArgNames({"n", "shape"})
+    ->Args({static_cast<std::int64_t>(kMoocCardinality), 1})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace privtree

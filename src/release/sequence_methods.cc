@@ -128,13 +128,11 @@ class PstPrivTreeMethod final : public SequenceMethodBase {
     PRIVTREE_CHECK(data.is_sequence());
     state_ = {true, data.sequences().alphabet_size(),
               budget.SpendRemaining()};
-    // The builder requires its input truncated at l⊤; truncating an
-    // already-truncated dataset is the identity, so fitting pre-truncated
-    // data matches the direct BuildPrivatePst path bit for bit.
-    const SequenceDataset truncated =
-        data.sequences().Truncate(options_.l_top);
-    model_.emplace(BuildPrivatePst(truncated, state_.epsilon_spent, options_,
-                                   rng)
+    // The builder truncates at l⊤ while it lays out its index, and
+    // truncating twice is the identity, so fitting pre-truncated data
+    // matches the direct BuildPrivatePst path bit for bit.
+    model_.emplace(BuildPrivatePst(data.sequences(), state_.epsilon_spent,
+                                   options_, rng)
                        .model);
   }
 
@@ -210,9 +208,7 @@ class NgramMethod final : public SequenceMethodBase {
     PRIVTREE_CHECK(data.is_sequence());
     state_ = {true, data.sequences().alphabet_size(),
               budget.SpendRemaining()};
-    const SequenceDataset truncated =
-        data.sequences().Truncate(options_.l_top);
-    model_.emplace(truncated, state_.epsilon_spent, options_, rng);
+    model_.emplace(data.sequences(), state_.epsilon_spent, options_, rng);
   }
 
   std::vector<double> QueryBatch(

@@ -1,35 +1,24 @@
 #include "seq/exact_pst.h"
 
 #include <deque>
-#include <utility>
 
-#include "dp/check.h"
 #include "seq/pst_occurrences.h"
 
 namespace privtree {
 
 PstModel BuildExactPst(const SequenceDataset& data,
                        const ExactPstOptions& options) {
-  PstModel model(data.alphabet_size());
   const PstOccurrences occurrences(data);
+  PstGrowth growth(occurrences);
 
-  struct Pending {
-    NodeId node;
-    std::vector<PstPosting> postings;
-  };
-  std::deque<Pending> queue;
-  queue.push_back({model.AddRoot(), occurrences.RootPostings()});
-
+  std::deque<NodeId> queue = {growth.model().root()};
   while (!queue.empty()) {
-    Pending current = std::move(queue.front());
+    const NodeId id = queue.front();
     queue.pop_front();
-    auto& node = model.mutable_node(current.node);
-    node.hist = occurrences.HistOf(current.postings);
+    const PstNode& node = growth.model().node(id);
 
     // C1: predictors starting with $ cannot be extended.
-    const bool starts_with_dollar =
-        !node.predictor.empty() && node.predictor.front() == model.dollar();
-    if (starts_with_dollar) continue;
+    if (!growth.CanRefine(id)) continue;
     if (node.predictor.size() >= options.max_depth) continue;
     // C2 and C3.
     double magnitude = 0.0;
@@ -37,15 +26,12 @@ PstModel BuildExactPst(const SequenceDataset& data,
     if (magnitude < options.min_magnitude) continue;
     if (HistEntropy(node.hist) < options.min_entropy) continue;
 
-    auto child_postings = occurrences.RefineAll(current.postings,
-                                                node.predictor.size());
-    const NodeId first_child = model.SplitNode(current.node);
-    for (std::size_t c = 0; c < model.fanout(); ++c) {
-      queue.push_back({static_cast<NodeId>(first_child + c),
-                       std::move(child_postings[c])});
+    const NodeId first_child = growth.Split(id);
+    for (std::size_t c = 0; c < growth.model().fanout(); ++c) {
+      queue.push_back(static_cast<NodeId>(first_child + c));
     }
   }
-  return model;
+  return growth.TakeModel();
 }
 
 }  // namespace privtree

@@ -7,17 +7,39 @@
 
 #include "dp/check.h"
 #include "dp/distributions.h"
+#include "seq/pst_occurrences.h"
 
 namespace privtree {
 
 namespace {
 
-/// Occurrence start positions of a gram: pos is the 1-based padded index of
-/// the gram's first symbol.
-struct GramPosting {
-  std::uint32_t seq;
-  std::uint16_t pos;
-};
+/// Counting-sorts gram postings (offsets of a gram's first symbol in the
+/// padded array) by the symbol `shift` places on, appending them to `out`;
+/// child c gets (*out)[bounds[c], bounds[c+1]).  Postings whose next symbol
+/// is $ — past the end of their sequence, the trailing sentinel included —
+/// are dropped.
+std::vector<std::uint32_t> RefineGrams(const PstOccurrences& index,
+                                       std::span<const std::uint32_t> grams,
+                                       std::size_t shift,
+                                       std::vector<std::uint32_t>* out) {
+  const std::size_t beta = index.fanout();
+  const Symbol* padded = index.padded().data();
+  std::vector<std::uint32_t> bounds(beta + 1, 0);
+  for (const std::uint32_t g : grams) {
+    const Symbol next = padded[g + shift];
+    if (next < beta) ++bounds[next + 1];
+  }
+  bounds[0] = static_cast<std::uint32_t>(out->size());
+  for (std::size_t c = 1; c <= beta; ++c) bounds[c] += bounds[c - 1];
+  out->resize(bounds[beta]);
+  std::vector<std::uint32_t> cursor(bounds.begin(), bounds.end() - 1);
+  std::uint32_t* dst = out->data();
+  for (const std::uint32_t g : grams) {
+    const Symbol next = padded[g + shift];
+    if (next < beta) dst[cursor[next]++] = g;
+  }
+  return bounds;
+}
 
 }  // namespace
 
@@ -27,17 +49,8 @@ NgramModel::NgramModel(const SequenceDataset& data, double epsilon,
   PRIVTREE_CHECK_GT(epsilon, 0.0);
   PRIVTREE_CHECK_GE(options.n_max, 1u);
   PRIVTREE_CHECK_GE(options.l_top, 1u);
-  const std::size_t end_symbol = alphabet_size_;  // & inside grams.
-
-  // Padded symbol access: 1..l are symbols, l+1 is & (when present).
-  // Returns alphabet_size_+1 ("none") past the end.
-  const auto symbol_at = [&](std::uint32_t seq,
-                             std::size_t pos) -> std::size_t {
-    const auto s = data.sequence(seq);
-    if (pos >= 1 && pos <= s.size()) return s[pos - 1];
-    if (pos == s.size() + 1 && data.has_end(seq)) return end_symbol;
-    return alphabet_size_ + 1;
-  };
+  const PstOccurrences index(data, options.l_top);
+  const std::size_t beta = index.fanout();
 
   const double scale = static_cast<double>(options.l_top) *
                        static_cast<double>(options.n_max) / epsilon;
@@ -49,62 +62,63 @@ NgramModel::NgramModel(const SequenceDataset& data, double epsilon,
     NodeId node;
     std::size_t level;
     bool ends_with_end;  ///< The gram's last symbol is & (never extended).
-    std::vector<GramPosting> postings;
+    std::uint32_t begin;  ///< Postings range in the level's buffer.
+    std::uint32_t end;
   };
   std::deque<Pending> queue;
+  // Postings of the grams of length `level` and of the level below it; the
+  // queue visits levels in order, so only these two are ever live.  Each
+  // holds every root posting at most once.
+  std::vector<std::uint32_t> current;
+  std::vector<std::uint32_t> next;
+  current.reserve(index.root_postings().size());
+  next.reserve(index.root_postings().size());
+  std::size_t level = 1;
 
-  // Level 1: all unigrams (including &).
-  {
-    std::vector<std::vector<GramPosting>> buckets(alphabet_size_ + 1);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      const std::size_t last =
-          data.length(i) + (data.has_end(i) ? 1 : 0);
-      for (std::size_t p = 1; p <= last; ++p) {
-        buckets[symbol_at(static_cast<std::uint32_t>(i), p)].push_back(
-            GramPosting{static_cast<std::uint32_t>(i),
-                        static_cast<std::uint16_t>(p)});
-      }
-    }
-    nodes_[0].children.resize(alphabet_size_ + 1);
-    for (std::size_t c = 0; c <= alphabet_size_; ++c) {
+  // Appends the beta children of `parent` (gram length `child_level`),
+  // their postings at [bounds[c], bounds[c+1]).
+  const auto add_children = [&](NodeId parent, std::size_t child_level,
+                                const std::vector<std::uint32_t>& bounds) {
+    nodes_[static_cast<std::size_t>(parent)].children.resize(beta);
+    for (std::size_t c = 0; c < beta; ++c) {
       const NodeId id = static_cast<NodeId>(nodes_.size());
       nodes_.push_back(GramNode{});
-      nodes_[0].children[c] = id;
-      queue.push_back({id, 1, c == end_symbol, std::move(buckets[c])});
+      nodes_[static_cast<std::size_t>(parent)].children[c] = id;
+      queue.push_back({id, child_level, c == index.end_code(), bounds[c],
+                       bounds[c + 1]});
     }
-  }
+  };
+
+  // Level 1: all unigrams (including &), by the symbol at each predicted
+  // position.
+  add_children(0, 1, RefineGrams(index, index.root_postings(), 0, &current));
 
   while (!queue.empty()) {
-    Pending current = std::move(queue.front());
+    const Pending pending = queue.front();
     queue.pop_front();
+    if (pending.level > level) {
+      PRIVTREE_CHECK_EQ(pending.level, level + 1);
+      current.swap(next);
+      next.clear();
+      level = pending.level;
+    }
     const double noisy =
-        static_cast<double>(current.postings.size()) +
+        static_cast<double>(pending.end - pending.begin) +
         SampleLaplace(rng, scale);
-    nodes_[current.node].count = noisy;
+    nodes_[static_cast<std::size_t>(pending.node)].count = noisy;
 
     // Extend?  Grams ending in & cannot be extended (structural), height is
     // capped at n_max (structural), and the noisy count must clear the
     // noise-filtering threshold (the private decision).
-    if (current.ends_with_end) continue;
-    if (current.level >= options.n_max) continue;
+    if (pending.ends_with_end) continue;
+    if (pending.level >= options.n_max) continue;
     if (noisy <= threshold) continue;
 
     // Refine into children by the next symbol.
-    std::vector<std::vector<GramPosting>> buckets(alphabet_size_ + 1);
-    for (const GramPosting& posting : current.postings) {
-      const std::size_t next =
-          symbol_at(posting.seq, posting.pos + current.level);
-      if (next > alphabet_size_) continue;  // Past the end of the sequence.
-      buckets[next].push_back(posting);
-    }
-    nodes_[current.node].children.resize(alphabet_size_ + 1);
-    for (std::size_t c = 0; c <= alphabet_size_; ++c) {
-      const NodeId id = static_cast<NodeId>(nodes_.size());
-      nodes_.push_back(GramNode{});
-      nodes_[current.node].children[c] = id;
-      queue.push_back(
-          {id, current.level + 1, c == end_symbol, std::move(buckets[c])});
-    }
+    const std::span<const std::uint32_t> grams(current.data() + pending.begin,
+                                               pending.end - pending.begin);
+    add_children(pending.node, pending.level + 1,
+                 RefineGrams(index, grams, pending.level, &next));
   }
 }
 

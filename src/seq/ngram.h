@@ -28,7 +28,8 @@ namespace privtree {
 struct NgramOptions {
   /// Maximum gram length n_max (the paper's suggested value is 5).
   std::size_t n_max = 5;
-  /// The public sequence-length cap l⊤ (data must be pre-truncated).
+  /// The public sequence-length cap l⊤; the builder truncates its input
+  /// at it (SequenceDataset::Truncate's rule).
   std::size_t l_top = 50;
   /// Expansion threshold in units of the per-count noise scale; a node is
   /// extended when its noisy count exceeds factor · scale.
@@ -38,7 +39,7 @@ struct NgramOptions {
 /// The released n-gram tree, exposed as a SequenceModel.
 class NgramModel : public SequenceModel {
  public:
-  /// Builds the ε-DP n-gram model over the (truncated) dataset.
+  /// Builds the ε-DP n-gram model over `data` truncated at l⊤.
   NgramModel(const SequenceDataset& data, double epsilon,
              const NgramOptions& options, Rng& rng);
 

@@ -1,65 +1,139 @@
 #include "seq/pst_occurrences.h"
 
+#include <algorithm>
+
 #include "dp/check.h"
 
 namespace privtree {
 
-PstOccurrences::PstOccurrences(const SequenceDataset& data) : data_(data) {
-  // Postings use 16-bit positions and 32-bit sequence ids.
-  PRIVTREE_CHECK_LE(data.size(), std::size_t{0xffffffff});
-}
-
-Symbol PstOccurrences::SymbolAt(std::uint32_t seq, std::int32_t pos) const {
-  PRIVTREE_CHECK_GE(pos, 0);
-  if (pos == 0) return dollar();
-  const auto s = data_.sequence(seq);
-  const auto index = static_cast<std::size_t>(pos - 1);
-  if (index < s.size()) return s[index];
-  PRIVTREE_CHECK_EQ(index, s.size());
-  PRIVTREE_CHECK(data_.has_end(seq));
-  return static_cast<Symbol>(end_slot());
-}
-
-std::vector<PstPosting> PstOccurrences::RootPostings() const {
-  std::vector<PstPosting> out;
-  std::size_t total = data_.TotalSymbols();
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    total += data_.has_end(i) ? 1 : 0;
+PstOccurrences::PstOccurrences(const SequenceDataset& data, std::size_t l_top)
+    : alphabet_size_(data.alphabet_size()) {
+  PRIVTREE_CHECK_GE(l_top, 1u);
+  // $ is alphabet_size + 1, so it must still fit a Symbol.
+  PRIVTREE_CHECK_LT(alphabet_size_ + 1,
+                    std::size_t{std::numeric_limits<Symbol>::max()});
+  // Truncation rule of SequenceDataset::Truncate: a sequence longer than
+  // l⊤ (counting &) keeps l⊤ symbols and becomes open-ended.
+  const auto kept = [&](std::size_t i) {
+    return data.LengthWithEnd(i) > l_top ? std::min(data.length(i), l_top)
+                                         : data.length(i);
+  };
+  const auto ends = [&](std::size_t i) {
+    return data.has_end(i) && data.LengthWithEnd(i) <= l_top;
+  };
+  std::size_t total = 1;  // The trailing sentinel.
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    total += 1 + kept(i) + (ends(i) ? 1 : 0);
   }
-  out.reserve(total);
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    const std::size_t len = data_.length(i);
-    PRIVTREE_CHECK_LE(len + 1, std::size_t{0xffff});
-    const std::size_t last = len + (data_.has_end(i) ? 1 : 0);
-    for (std::size_t p = 1; p <= last; ++p) {
-      out.push_back(PstPosting{static_cast<std::uint32_t>(i),
-                               static_cast<std::uint16_t>(p)});
+  // Every offset, the sentinel's included, is a u32.
+  PRIVTREE_CHECK_LE(total, std::size_t{0xffffffff});
+  padded_.reserve(total);
+  root_.reserve(total - 1 - data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    padded_.push_back(dollar_code());
+    const auto s = data.sequence(i).first(kept(i));
+    for (const Symbol x : s) {
+      root_.push_back(static_cast<std::uint32_t>(padded_.size()));
+      padded_.push_back(x);
+    }
+    if (ends(i)) {
+      root_.push_back(static_cast<std::uint32_t>(padded_.size()));
+      padded_.push_back(end_code());
     }
   }
-  return out;
-}
-
-std::vector<std::vector<PstPosting>> PstOccurrences::RefineAll(
-    const std::vector<PstPosting>& parent, std::size_t predictor_len) const {
-  std::vector<std::vector<PstPosting>> out(data_.alphabet_size() + 1);
-  for (const PstPosting& posting : parent) {
-    const std::int32_t before =
-        static_cast<std::int32_t>(posting.pos) -
-        static_cast<std::int32_t>(predictor_len) - 1;
-    if (before < 0) continue;  // Predictor already reaches past $.
-    const Symbol key = SymbolAt(posting.seq, before);
-    out[key].push_back(posting);
-  }
-  return out;
+  padded_.push_back(dollar_code());
 }
 
 std::vector<double> PstOccurrences::HistOf(
-    const std::vector<PstPosting>& postings) const {
-  std::vector<double> hist(data_.alphabet_size() + 1, 0.0);
-  for (const PstPosting& posting : postings) {
-    hist[SymbolAt(posting.seq, posting.pos)] += 1.0;
+    std::span<const std::uint32_t> postings) const {
+  std::vector<double> hist(fanout(), 0.0);
+  for (const std::uint32_t g : postings) {
+    const Symbol x = padded_[g];
+    PRIVTREE_CHECK_LE(x, end_code());
+    hist[x] += 1.0;
   }
   return hist;
+}
+
+void PstOccurrences::Refine(std::span<const std::uint32_t> parent,
+                            std::size_t predictor_len,
+                            std::vector<std::uint32_t>* out,
+                            std::vector<std::uint32_t>* bounds,
+                            std::vector<std::uint32_t>* child_hists) const {
+  const std::size_t beta = fanout();
+  const std::size_t back = predictor_len + 1;
+  const Symbol* padded = padded_.data();
+  // The preceding symbol is a regular symbol or $ — never &, which only
+  // ends a sequence — so min() maps $ to child alphabet_size.
+  const auto child_of = [&](std::uint32_t g) -> std::size_t {
+    return std::min<std::size_t>(padded[g - back], alphabet_size_);
+  };
+
+  bounds->assign(beta + 1, 0);
+  child_hists->assign(beta * beta, 0);
+  std::uint32_t* count = bounds->data() + 1;
+  std::uint32_t* hists = child_hists->data();
+  for (const std::uint32_t g : parent) {
+    const std::size_t c = child_of(g);
+    ++count[c];
+    ++hists[c * beta + padded[g]];
+  }
+  // Prefix sums from the end of `out` turn the counts into child bounds.
+  (*bounds)[0] = static_cast<std::uint32_t>(out->size());
+  for (std::size_t c = 1; c <= beta; ++c) (*bounds)[c] += (*bounds)[c - 1];
+  out->resize((*bounds)[beta]);
+  std::vector<std::uint32_t> next(bounds->begin(), bounds->end() - 1);
+  std::uint32_t* dst = out->data();
+  for (const std::uint32_t g : parent) dst[next[child_of(g)]++] = g;
+}
+
+PstGrowth::PstGrowth(const PstOccurrences& occurrences)
+    : occurrences_(occurrences), model_(occurrences.alphabet_size()) {
+  model_.AddRoot();
+  model_.mutable_node(model_.root()).hist =
+      occurrences_.HistOf(occurrences_.root_postings());
+  // A level holds at most every root posting once; sizing both level
+  // buffers up front keeps refinement from growing them a level at a time.
+  const std::size_t total = occurrences_.root_postings().size();
+  ranges_.push_back({0, static_cast<std::uint32_t>(total)});
+  current_.reserve(total);
+  next_.reserve(total);
+}
+
+bool PstGrowth::CanRefine(NodeId id) const {
+  const auto& predictor = model_.node(id).predictor;
+  return predictor.empty() || predictor.front() != model_.dollar();
+}
+
+NodeId PstGrowth::Split(NodeId id) {
+  PRIVTREE_CHECK(CanRefine(id));
+  const std::size_t depth = model_.node(id).predictor.size();
+  PRIVTREE_CHECK_GE(depth, level_);
+  if (depth > level_) {
+    // The first split one level down: the previous level is done.
+    PRIVTREE_CHECK_EQ(depth, level_ + 1);
+    current_.swap(next_);
+    next_.clear();
+    level_ = depth;
+  }
+  const std::span<const std::uint32_t> level =
+      level_ == 0 ? occurrences_.root_postings()
+                  : std::span<const std::uint32_t>(current_);
+  const Range range = ranges_[static_cast<std::size_t>(id)];
+  occurrences_.Refine(level.subspan(range.begin, range.end - range.begin),
+                      depth, &next_, &bounds_, &child_hists_);
+
+  const NodeId first = model_.SplitNode(id);
+  const std::size_t beta = model_.fanout();
+  PRIVTREE_CHECK_EQ(static_cast<std::size_t>(first), ranges_.size());
+  for (std::size_t c = 0; c < beta; ++c) {
+    ranges_.push_back({bounds_[c], bounds_[c + 1]});
+    auto& hist = model_.mutable_node(static_cast<NodeId>(first + c)).hist;
+    for (std::size_t x = 0; x < beta; ++x) {
+      hist[x] = static_cast<double>(child_hists_[c * beta + x]);
+    }
+  }
+  return first;
 }
 
 }  // namespace privtree

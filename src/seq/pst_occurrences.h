@@ -1,62 +1,123 @@
-// Occurrence-posting machinery for building PSTs efficiently.
+// The flat occurrence index shared by the PST and n-gram builders.
 //
-// For a PST node with predictor w, an occurrence is a "predicted position"
-// p in a padded sequence $ x1 ... xl (&) such that the |w| symbols ending at
-// position p−1 equal w.  The node's prediction histogram counts the symbol
-// at each occurrence position.  Child postings are obtained from parent
-// postings by filtering on the symbol immediately before the predictor, so
-// a full level refines in one linear pass.
+// Layout.  Every sequence is laid out once, back to back, as its padded
+// form $ x1 ... xl [&] in one contiguous Symbol array, followed by one
+// trailing $ sentinel.  $ and & get distinct codes: & is alphabet_size
+// (the histogram slot of the end marker) and $ is alphabet_size + 1.  The
+// public length cap l⊤ is applied while the array is built: a sequence
+// whose paper length (symbols plus &) exceeds l⊤ keeps its first l⊤
+// symbols and loses its & — the same rule as SequenceDataset::Truncate, so
+// pre-truncated input is laid out unchanged.
+//
+// Postings.  A posting is a u32 offset g into that array.  For a PST node
+// with predictor w, its postings are the "predicted positions" g whose |w|
+// preceding symbols equal w; the node's prediction histogram counts
+// padded[g].  Every offset, including the sentinel, must fit a u32; that
+// one total is checked when the index is built.
+//
+// Refinement.  A child prepends one symbol to its parent's predictor, so
+// the child postings are the parent's, counting-sorted by the symbol
+// padded[g − |w| − 1] into one contiguous buffer; the children's
+// histograms are counted in the same pass.  Predictors that start with $
+// never refine (condition C1): a predictor without $ covers only regular
+// symbols of one sequence, so g − |w| − 1 never leaves that sequence's
+// padded form (at worst it reads its $), while one step past a $-prefixed
+// predictor would read the previous sequence.
 #ifndef PRIVTREE_SEQ_PST_OCCURRENCES_H_
 #define PRIVTREE_SEQ_PST_OCCURRENCES_H_
 
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "core/tree.h"
+#include "seq/pst.h"
 #include "seq/sequence.h"
 
 namespace privtree {
 
-/// One occurrence: `pos` indexes the padded sequence of `seq`
-/// (0 = $, 1..l = symbols, l+1 = & when the sequence has an end marker).
-struct PstPosting {
-  std::uint32_t seq;
-  std::uint16_t pos;
-};
-
-/// Posting-list operations over one dataset.
+/// The flat padded-symbol array and root postings of one dataset.
 class PstOccurrences {
  public:
-  explicit PstOccurrences(const SequenceDataset& data);
+  /// No length cap: every sequence is laid out whole.
+  static constexpr std::size_t kNoLengthCap =
+      std::numeric_limits<std::size_t>::max();
 
-  const SequenceDataset& data() const { return data_; }
-  /// The symbol value encoding $.
-  Symbol dollar() const {
-    return static_cast<Symbol>(data_.alphabet_size());
+  /// Lays out `data` truncated at `l_top` (>= 1).
+  explicit PstOccurrences(const SequenceDataset& data,
+                          std::size_t l_top = kNoLengthCap);
+
+  std::size_t alphabet_size() const { return alphabet_size_; }
+  /// Fanout β = alphabet_size + 1 (children and histogram slots alike).
+  std::size_t fanout() const { return alphabet_size_ + 1; }
+  /// The code of & in padded(), which is also its histogram slot.
+  Symbol end_code() const { return static_cast<Symbol>(alphabet_size_); }
+  /// The code of $ in padded().
+  Symbol dollar_code() const {
+    return static_cast<Symbol>(alphabet_size_ + 1);
   }
-  /// The hist slot of &.
-  std::size_t end_slot() const { return data_.alphabet_size(); }
 
-  /// The padded-sequence symbol at (seq, pos): dollar() at pos 0, the
-  /// regular symbol at 1..l, end_slot() (as a Symbol) at l+1.
-  Symbol SymbolAt(std::uint32_t seq, std::int32_t pos) const;
+  /// The padded sequences plus the trailing $ sentinel.
+  std::span<const Symbol> padded() const { return padded_; }
 
-  /// Occurrences of the empty predictor: every predicted position of every
-  /// sequence (1..l, plus l+1 for sequences with an end marker).
-  std::vector<PstPosting> RootPostings() const;
+  /// Every predicted position (all offsets except the $s), in order.
+  std::span<const std::uint32_t> root_postings() const { return root_; }
 
-  /// Partitions `parent` (postings of a node whose predictor has length
-  /// `predictor_len`) into the β = alphabet_size+1 child posting lists;
-  /// out[c] receives the occurrences whose preceding symbol is c (c =
-  /// alphabet_size means $).  Occurrences with no preceding symbol (the
-  /// predictor already reaches $) are dropped.
-  std::vector<std::vector<PstPosting>> RefineAll(
-      const std::vector<PstPosting>& parent, std::size_t predictor_len) const;
+  /// The prediction histogram (size fanout()) of a posting list.
+  std::vector<double> HistOf(std::span<const std::uint32_t> postings) const;
 
-  /// The prediction histogram of a posting list (size alphabet_size + 1).
-  std::vector<double> HistOf(const std::vector<PstPosting>& postings) const;
+  /// Counting-sorts `parent` — the postings of a predictor of length
+  /// `predictor_len` that does not start with $ — by preceding symbol and
+  /// appends them to `out`: child c (c = alphabet_size means $) gets
+  /// (*out)[bounds[c], bounds[c+1]).  `child_hists` becomes the β·β exact
+  /// child histograms, row c for child c, counted in the same pass.
+  void Refine(std::span<const std::uint32_t> parent, std::size_t predictor_len,
+              std::vector<std::uint32_t>* out,
+              std::vector<std::uint32_t>* bounds,
+              std::vector<std::uint32_t>* child_hists) const;
 
  private:
-  const SequenceDataset& data_;
+  std::size_t alphabet_size_;
+  std::vector<Symbol> padded_;
+  std::vector<std::uint32_t> root_;
+};
+
+/// Grows a PstModel breadth first over a PstOccurrences index, with the
+/// exact prediction histogram on every node.  Only two tree levels of
+/// postings are live at a time: the level being split and the next one.
+class PstGrowth {
+ public:
+  /// Creates the root.  `occurrences` must outlive the growth.
+  explicit PstGrowth(const PstOccurrences& occurrences);
+
+  const PstModel& model() const { return model_; }
+  PstModel TakeModel() { return std::move(model_); }
+
+  /// Whether `id` may split structurally: its predictor does not start
+  /// with $ (condition C1).
+  bool CanRefine(NodeId id) const;
+
+  /// Splits leaf `id` (CanRefine) and returns the first of its β children,
+  /// whose histograms are exact.  Nodes must be split in nondecreasing
+  /// depth order, as a breadth-first walk does.
+  NodeId Split(NodeId id);
+
+ private:
+  struct Range {
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+
+  const PstOccurrences& occurrences_;
+  PstModel model_;
+  std::vector<Range> ranges_;  ///< Per node, into its level's buffer.
+  std::size_t level_ = 0;      ///< Depth of the nodes in `current_`.
+  std::vector<std::uint32_t> current_;
+  std::vector<std::uint32_t> next_;
+  std::vector<std::uint32_t> bounds_;       ///< Refine scratch.
+  std::vector<std::uint32_t> child_hists_;  ///< Refine scratch.
 };
 
 }  // namespace privtree

@@ -1,7 +1,5 @@
 #include "seq/pst_privtree.h"
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "core/privtree_params.h"
@@ -15,73 +13,51 @@ namespace privtree {
 
 namespace {
 
-/// The sub-domain descriptor of the PST decomposition: the predictor string
-/// plus a slot into the policy's posting store.
+/// The sub-domain descriptor of the PST decomposition: the id of the
+/// node in the policy's PstModel, which equals its DecompTree id.
 struct PstCell {
-  std::vector<Symbol> predictor;
-  std::int32_t slot = -1;
+  NodeId slot = 0;
 };
 
-/// DecompositionPolicy over PST nodes; Score is Equation (13).
+/// DecompositionPolicy over PST nodes; Score is Equation (13) on the exact
+/// histogram each split already counted.
 class PstPolicy {
  public:
   using Domain = PstCell;
 
   PstPolicy(const PstOccurrences& occurrences, std::size_t max_predictor_len)
-      : occurrences_(occurrences), max_predictor_len_(max_predictor_len) {
-    slots_.push_back(occurrences_.RootPostings());
-  }
+      : growth_(occurrences), max_predictor_len_(max_predictor_len) {}
 
-  Domain Root() const { return PstCell{{}, 0}; }
+  Domain Root() const { return PstCell{0}; }
 
   /// Structural constraints: C1 ($-prefixed predictors cannot grow) and the
   /// public length cap (a predictor longer than l⊤ matches no sequence).
   bool CanSplit(const Domain& cell) const {
-    if (!cell.predictor.empty() &&
-        cell.predictor.front() == occurrences_.dollar()) {
-      return false;
-    }
-    return cell.predictor.size() < max_predictor_len_;
+    return growth_.CanRefine(cell.slot) &&
+           growth_.model().node(cell.slot).predictor.size() <
+               max_predictor_len_;
   }
 
   std::vector<Domain> Split(const Domain& cell) const {
-    PRIVTREE_CHECK_GE(cell.slot, 0);
-    auto child_postings = occurrences_.RefineAll(
-        slots_[static_cast<std::size_t>(cell.slot)], cell.predictor.size());
-    // The parent's postings are no longer needed; free them to keep live
-    // memory proportional to one tree level.
-    std::vector<PstPosting>().swap(
-        slots_[static_cast<std::size_t>(cell.slot)]);
-
-    std::vector<Domain> children;
-    children.reserve(child_postings.size());
-    for (std::size_t c = 0; c < child_postings.size(); ++c) {
-      PstCell child;
-      child.predictor.reserve(cell.predictor.size() + 1);
-      child.predictor.push_back(static_cast<Symbol>(c));
-      child.predictor.insert(child.predictor.end(), cell.predictor.begin(),
-                             cell.predictor.end());
-      child.slot = static_cast<std::int32_t>(slots_.size());
-      slots_.push_back(std::move(child_postings[c]));
-      children.push_back(std::move(child));
+    const NodeId first = growth_.Split(cell.slot);
+    std::vector<Domain> children(growth_.model().fanout());
+    for (std::size_t c = 0; c < children.size(); ++c) {
+      children[c].slot = first + static_cast<NodeId>(c);
     }
     return children;
   }
 
   double Score(const Domain& cell) const {
-    PRIVTREE_CHECK_GE(cell.slot, 0);
-    return PstScore(occurrences_.HistOf(
-        slots_[static_cast<std::size_t>(cell.slot)]));
+    return PstScore(growth_.model().node(cell.slot).hist);
   }
 
-  int fanout() const {
-    return static_cast<int>(occurrences_.data().alphabet_size()) + 1;
-  }
+  int fanout() const { return static_cast<int>(growth_.model().fanout()); }
+
+  PstModel TakeModel() { return growth_.TakeModel(); }
 
  private:
-  const PstOccurrences& occurrences_;
+  mutable PstGrowth growth_;
   std::size_t max_predictor_len_;
-  mutable std::vector<std::vector<PstPosting>> slots_;
 };
 
 }  // namespace
@@ -99,7 +75,7 @@ PrivatePstResult BuildPrivatePst(const SequenceDataset& data, double epsilon,
   const double tree_epsilon = budget.SpendFraction(tree_fraction);
   const double count_epsilon = budget.SpendRemaining();
 
-  const PstOccurrences occurrences(data);
+  const PstOccurrences occurrences(data, options.l_top);
   PstPolicy policy(occurrences, options.l_top);
 
   PrivTreeParams params = PrivTreeParams::ForEpsilon(
@@ -107,34 +83,18 @@ PrivatePstResult BuildPrivatePst(const SequenceDataset& data, double epsilon,
       /*sensitivity=*/static_cast<double>(options.l_top));
   params.max_depth = options.max_depth;
 
-  PrivatePstResult result{PstModel(data.alphabet_size()), {}};
-  const DecompTree<PstCell> tree =
-      RunPrivTree(policy, params, rng, &result.stats);
+  DecompositionStats stats;
+  const DecompTree<PstCell> tree = RunPrivTree(policy, params, rng, &stats);
+  PrivatePstResult result{policy.TakeModel(), stats};
 
-  // Mirror the decomposition tree into a PstModel.  DecompTree children and
-  // PstModel::SplitNode both order children by prepended symbol, and both
-  // containers append nodes in visit order, so ids line up one-to-one.
-  result.model.AddRoot();
-  for (std::size_t id = 0; id < tree.size(); ++id) {
-    if (!tree.node(static_cast<NodeId>(id)).is_leaf()) {
-      result.model.SplitNode(static_cast<NodeId>(id));
-    }
-  }
+  // The policy grew the model split by split, in the same breadth-first
+  // order RunPrivTree appends DecompTree nodes, so the ids agree one to
+  // one and every leaf already holds its exact histogram: each predicted
+  // position lies in exactly one leaf's postings.
   PRIVTREE_CHECK_EQ(result.model.size(), tree.size());
-
-  // Exact leaf histograms in one pass: every predicted position maps to
-  // exactly one leaf (the walk consumes preceding symbols down to $).
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const auto s = data.sequence(i);
-    const std::size_t last = s.size() + (data.has_end(i) ? 1 : 0);
-    for (std::size_t p = 1; p <= last; ++p) {
-      const NodeId leaf = result.model.LongestSuffixNode(
-          s.subspan(0, p - 1), /*context_starts_sequence=*/true);
-      const Symbol predicted =
-          (p <= s.size()) ? s[p - 1]
-                          : static_cast<Symbol>(result.model.end_slot());
-      result.model.mutable_node(leaf).hist[predicted] += 1.0;
-    }
+  for (std::size_t id = 0; id < tree.size(); ++id) {
+    PRIVTREE_CHECK_EQ(tree.node(static_cast<NodeId>(id)).domain.slot,
+                      static_cast<NodeId>(id));
   }
 
   // Theorem 4.2 post-processing: Lap(l⊤/ε₂) on every leaf histogram count.

@@ -9,6 +9,12 @@
 // (Theorem 4.2), aggregates internal histograms from the leaves and zeroes
 // negatives.  Following Section 4.2 the default budget split is
 // ε₁ = ε/β for the tree and ε₂ = ε·(β−1)/β for the counts.
+//
+// Algorithm 2 scores every node exactly once, and the exact counts come
+// from the decomposition itself: each split counts its children's
+// histograms while it partitions the parent's postings (seq/
+// pst_occurrences.h), so the leaves' exact histograms — the input of the
+// Laplace post-processing — are already in hand when the tree is done.
 #ifndef PRIVTREE_SEQ_PST_PRIVTREE_H_
 #define PRIVTREE_SEQ_PST_PRIVTREE_H_
 
@@ -23,8 +29,9 @@ namespace privtree {
 
 /// Options for BuildPrivatePst.
 struct PrivatePstOptions {
-  /// The public sequence-length cap l⊤.  The input dataset must already be
-  /// truncated to it (SequenceDataset::Truncate).
+  /// The public sequence-length cap l⊤.  The builder truncates its input
+  /// at l⊤ by the rule of SequenceDataset::Truncate; input truncated
+  /// beforehand is left as it is.
   std::size_t l_top = 50;
   /// Budget fraction for the tree shape; 0 selects the paper's 1/β.
   double tree_budget_fraction = 0.0;

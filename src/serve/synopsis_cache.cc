@@ -243,26 +243,18 @@ void SynopsisCache::TouchSpillLocked(const std::string& file) {
   spill_lru_.push_front(file);
 }
 
-void SynopsisCache::InsertLocked(
-    const SynopsisKey& key, std::shared_ptr<const release::Method> value,
-    std::vector<Evicted>* evicted) {
-  const std::size_t bytes = SerializedSizeOf(*value);
+void SynopsisCache::InsertLocked(const SynopsisKey& key, Sized value,
+                                 std::vector<Evicted>* evicted) {
+  stats_.resident_bytes += value.bytes;
   lru_.emplace_front(key, std::move(value));
   index_[key] = lru_.begin();
-  resident_size_[key] = bytes;
-  stats_.resident_bytes += bytes;
   // Evict past the entry cap, then past the byte cap — but never the entry
   // just inserted, so one oversized synopsis still serves.
   while (lru_.size() > capacity_ ||
          (max_resident_bytes_ > 0 && lru_.size() > 1 &&
           stats_.resident_bytes > max_resident_bytes_)) {
-    const SynopsisKey& victim = lru_.back().first;
-    if (const auto it = resident_size_.find(victim);
-        it != resident_size_.end()) {
-      stats_.resident_bytes -= it->second;
-      resident_size_.erase(it);
-    }
-    index_.erase(victim);
+    stats_.resident_bytes -= lru_.back().second.bytes;
+    index_.erase(lru_.back().first);
     if (spill_enabled()) evicted->push_back(std::move(lru_.back()));
     lru_.pop_back();
     ++stats_.evictions;
@@ -273,7 +265,7 @@ void SynopsisCache::InsertLocked(
 
 void SynopsisCache::SpillEvicted(const std::vector<Evicted>& evicted) {
   namespace fs = std::filesystem;
-  for (const auto& [key, method] : evicted) {
+  for (const auto& [key, value] : evicted) {
     const std::string file =
         SynopsisKeyFingerprint(key) + std::string(kSpillExtension);
     {
@@ -297,7 +289,8 @@ void SynopsisCache::SpillEvicted(const std::vector<Evicted>& evicted) {
     if (auto f = PRIVTREE_FAULT("spill.write"); f && f.MaybeSleep()) {
       saved = f.ToStatus("spill.write");
     } else {
-      saved = release::SaveMethodToFile(*method, tmp_path, /*durable=*/true);
+      saved = release::SaveMethodToFile(*value.method, tmp_path,
+                                        /*durable=*/true);
     }
     std::error_code ec;
     std::uintmax_t written = 0;
@@ -380,7 +373,7 @@ void SynopsisCache::RunSpillWriter() {
     lk.Lock();
     // Only now do the keys leave the write-behind buffer: a miss during the
     // write was still served from memory (writeback hit).
-    for (const auto& [key, method] : batch) spill_pending_index_.erase(key);
+    for (const Evicted& entry : batch) spill_pending_index_.erase(entry.first);
     Metrics().spill_pending.Set(spill_pending_index_.size());
     if (spill_queue_.empty()) flush_cv_.NotifyAll();
   }
@@ -403,7 +396,7 @@ std::shared_ptr<const release::Method> SynopsisCache::GetOrFit(
       ++stats_.hits;
       Metrics().hits.Inc();
       lru_.splice(lru_.begin(), lru_, it->second);
-      return it->second->second;
+      return it->second->second.method;
     }
     // An eviction still waiting on (or undergoing) its background write is
     // served straight from the write-behind buffer and promoted back into
@@ -412,14 +405,14 @@ std::shared_ptr<const release::Method> SynopsisCache::GetOrFit(
         it != spill_pending_index_.end()) {
       ++stats_.writeback_hits;
       Metrics().writeback_hits.Inc();
-      const std::shared_ptr<const release::Method> value = it->second;
+      const Sized value = it->second;
       std::vector<Evicted> evicted;
       if (capacity_ > 0) InsertLocked(key, value, &evicted);
       const bool notify_writer = EnqueueSpillLocked(&evicted);
       lk.Unlock();
       if (notify_writer) spill_cv_.NotifyAll();
       if (!evicted.empty()) SpillEvicted(evicted);
-      return value;
+      return value.method;
     }
     if (!inflight_.contains(key)) break;
     // Another thread is fitting (or rehydrating) this key; wait for it
@@ -459,6 +452,14 @@ std::shared_ptr<const release::Method> SynopsisCache::GetOrFit(
     value = fit();
     PRIVTREE_CHECK(value != nullptr);
   }
+  // Size the synopsis before taking the lock: serializing a large envelope
+  // takes milliseconds that every other lookup would otherwise wait out.  A
+  // rehydrated synopsis is as large as the file it was read from.
+  std::size_t bytes = 0;
+  if (capacity_ > 0) {
+    bytes = read_bytes > 0 ? static_cast<std::size_t>(read_bytes)
+                           : SerializedSizeOf(*value);
+  }
 
   std::vector<Evicted> evicted;
   lk.Lock();
@@ -481,7 +482,7 @@ std::shared_ptr<const release::Method> SynopsisCache::GetOrFit(
       Metrics().spill_quarantined.Inc();
     }
   }
-  if (capacity_ > 0) InsertLocked(key, value, &evicted);
+  if (capacity_ > 0) InsertLocked(key, {value, bytes}, &evicted);
   const bool notify_writer = EnqueueSpillLocked(&evicted);
   inflight_cv_.NotifyAll();
   lk.Unlock();
@@ -497,7 +498,7 @@ std::shared_ptr<const release::Method> SynopsisCache::Lookup(
   const auto it = index_.find(key);
   if (it == index_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
+  return it->second->second.method;
 }
 
 std::size_t SynopsisCache::size() const {
@@ -524,7 +525,6 @@ void SynopsisCache::Clear() {
   MutexLock lk(mu_);
   lru_.clear();
   index_.clear();
-  resident_size_.clear();
   stats_.resident_bytes = 0;
   Metrics().resident_bytes.Set(0);
   for (const std::string& file : spill_lru_) {

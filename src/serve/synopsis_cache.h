@@ -190,15 +190,19 @@ class SynopsisCache {
   void Clear() EXCLUDES(mu_);
 
  private:
-  using LruList =
-      std::list<std::pair<SynopsisKey, std::shared_ptr<const release::Method>>>;
-  using Evicted =
-      std::pair<SynopsisKey, std::shared_ptr<const release::Method>>;
+  /// A synopsis with its serialized envelope size, measured once before
+  /// it first enters the cache — never under mu_ — and carried with it
+  /// through eviction, the write-behind buffer and promotion.
+  struct Sized {
+    std::shared_ptr<const release::Method> method;
+    std::size_t bytes = 0;
+  };
+  using LruList = std::list<std::pair<SynopsisKey, Sized>>;
+  using Evicted = std::pair<SynopsisKey, Sized>;
 
   /// Inserts (key, value) at the front, evicting from the back into
   /// `*evicted` for the caller to spill after unlocking; caller holds mu_.
-  void InsertLocked(const SynopsisKey& key,
-                    std::shared_ptr<const release::Method> value,
+  void InsertLocked(const SynopsisKey& key, Sized value,
                     std::vector<Evicted>* evicted) REQUIRES(mu_);
 
   /// Serializes evicted entries to the spill directory (temp-file + rename,
@@ -228,9 +232,6 @@ class SynopsisCache {
   CondVar inflight_cv_;
   LruList lru_ GUARDED_BY(mu_);  // Front = most recently used.
   std::map<SynopsisKey, LruList::iterator> index_ GUARDED_BY(mu_);
-  /// Serialized size per resident key, mirrored into
-  /// stats_.resident_bytes; measured once at insert (Save to a string).
-  std::map<SynopsisKey, std::size_t> resident_size_ GUARDED_BY(mu_);
   std::set<SynopsisKey> inflight_ GUARDED_BY(mu_);
   /// Spill-file names (fingerprint + extension), front = most recent; the
   /// set mirrors the list for O(log n) membership.
@@ -244,8 +245,7 @@ class SynopsisCache {
   /// over everything enqueued-or-being-written so a miss can be served from
   /// the buffer until its file lands.
   std::deque<Evicted> spill_queue_ GUARDED_BY(mu_);
-  std::map<SynopsisKey, std::shared_ptr<const release::Method>>
-      spill_pending_index_ GUARDED_BY(mu_);
+  std::map<SynopsisKey, Sized> spill_pending_index_ GUARDED_BY(mu_);
   bool stop_writer_ GUARDED_BY(mu_) = false;
   CondVar spill_cv_;  // Wakes the writer.
   CondVar flush_cv_;  // Signalled when the backlog drains.

@@ -67,16 +67,20 @@ double Box::IntersectionVolume(const Box& other) const {
 }
 
 Box Box::BisectDim(std::size_t j, int half) const {
+  Box out = *this;
+  out.Halve(j, half);
+  return out;
+}
+
+void Box::Halve(std::size_t j, int half) {
   PRIVTREE_CHECK_LT(j, dim());
   PRIVTREE_CHECK(half == 0 || half == 1);
-  Box out = *this;
   const double mid = 0.5 * (lo_[j] + hi_[j]);
   if (half == 0) {
-    out.hi_[j] = mid;
+    hi_[j] = mid;
   } else {
-    out.lo_[j] = mid;
+    lo_[j] = mid;
   }
-  return out;
 }
 
 std::string Box::ToString() const {

@@ -172,15 +172,21 @@ MortonKey MortonIndex::KeyOf(std::span<const double> point) const {
 }
 
 std::size_t MortonIndex::CountPrefix(MortonKey prefix, int bits) const {
-  PRIVTREE_CHECK_GE(bits, 0);
-  PRIVTREE_CHECK_LE(bits, max_prefix_bits_);
   if (bits == 0) return keys_.size();
-  const int shift = max_prefix_bits_ - bits;
-  const MortonKey lo = prefix << shift;
-  const MortonKey hi = (prefix + 1) << shift;
-  const auto begin = std::lower_bound(keys_.begin(), keys_.end(), lo);
-  const auto end = std::lower_bound(keys_.begin(), keys_.end(), hi);
-  return static_cast<std::size_t>(end - begin);
+  return LowerBound(prefix + 1, bits, 0, keys_.size()) -
+         LowerBound(prefix, bits, 0, keys_.size());
+}
+
+std::size_t MortonIndex::LowerBound(MortonKey prefix, int bits,
+                                    std::size_t begin, std::size_t end) const {
+  PRIVTREE_CHECK_GT(bits, 0);
+  PRIVTREE_CHECK_LE(bits, max_prefix_bits_);
+  PRIVTREE_CHECK_LE(begin, end);
+  PRIVTREE_CHECK_LE(end, keys_.size());
+  const MortonKey first = prefix << (max_prefix_bits_ - bits);
+  return static_cast<std::size_t>(
+      std::lower_bound(keys_.begin() + begin, keys_.begin() + end, first) -
+      keys_.begin());
 }
 
 }  // namespace privtree

@@ -10,12 +10,15 @@
 //
 // This is exactly the family of cells PrivTree's spatial policies generate
 // (both the full 2^d bisection and the lower-fanout round-robin splits of
-// Figure 8), which makes tree construction O(nodes · log n) after the
-// index is built.  Building is two linear passes over the points with no
-// scratch buffer beyond the keys themselves: a key pass that spreads each
-// coordinate byte to stride d through a 256-entry table, and an in-place
-// MSD radix sort on key bytes, O(n · w) for w key bytes that still
-// distinguish keys (buckets of at most 64 keys fall back to std::sort).
+// Figure 8).  A child's keys are a sub-range of its parent's, so a
+// decomposition carries each cell's [begin, end) range and finds a split's
+// β−1 inner boundaries by binary search inside the parent's range alone:
+// O(β · log(parent count)) per split, and a cell's count is end − begin.
+// Building is two linear passes over the points with no scratch buffer
+// beyond the keys themselves: a key pass that spreads each coordinate byte
+// to stride d through a 256-entry table, and an in-place MSD radix sort on
+// key bytes, O(n · w) for w key bytes that still distinguish keys (buckets
+// of at most 64 keys fall back to std::sort).
 // That keeps the paper-scale road dataset (1.6M points) cheap to index.
 #ifndef PRIVTREE_SPATIAL_MORTON_INDEX_H_
 #define PRIVTREE_SPATIAL_MORTON_INDEX_H_
@@ -59,6 +62,12 @@ class MortonIndex {
   /// Number of points whose key starts with the low `bits` bits of
   /// `prefix`.  bits == 0 returns size().
   std::size_t CountPrefix(MortonKey prefix, int bits) const;
+
+  /// The first position in [begin, end) of the sorted keys whose key is
+  /// not below the cell (prefix, bits)'s first key; `end` if none.
+  /// Requires 0 < bits and begin <= end <= size().
+  std::size_t LowerBound(MortonKey prefix, int bits, std::size_t begin,
+                         std::size_t end) const;
 
   /// Computes the key of a single point (exposed for tests).
   MortonKey KeyOf(std::span<const double> point) const;

@@ -13,7 +13,7 @@ QuadtreePolicy::QuadtreePolicy(const MortonIndex& index, Box root,
 }
 
 QuadtreePolicy::Domain QuadtreePolicy::Root() const {
-  return SpatialCell{root_, 0, 0};
+  return SpatialCell{root_, 0, 0, 0, index_.size()};
 }
 
 bool QuadtreePolicy::CanSplit(const Domain& cell) const {
@@ -24,37 +24,33 @@ std::vector<QuadtreePolicy::Domain> QuadtreePolicy::Split(
     const Domain& cell) const {
   PRIVTREE_CHECK(CanSplit(cell));
   const std::size_t dim = root_.dim();
-  // The next dimension to bisect follows the global round-robin bit order:
-  // after `bits` consumed bits, it is bits mod d.
-  std::vector<Domain> children;
-  children.reserve(1u << dims_per_split_);
-  children.push_back(
-      Domain{cell.box, cell.prefix << dims_per_split_,
-             cell.bits + dims_per_split_});
-  // Grow the child list one bisected dimension at a time so child order
-  // matches the Morton bit order (first bisected dimension is the most
-  // significant of the appended bits).
-  for (int step = 0; step < dims_per_split_; ++step) {
-    const std::size_t j = (cell.bits + step) % dim;
-    const int bit_pos = dims_per_split_ - 1 - step;
-    std::vector<Domain> next;
-    next.reserve(children.size() * 2);
-    for (const Domain& child : children) {
-      Domain lower = child;
-      lower.box = child.box.BisectDim(j, 0);
-      next.push_back(std::move(lower));
-      Domain upper = child;
-      upper.box = child.box.BisectDim(j, 1);
-      upper.prefix |= static_cast<MortonKey>(1) << bit_pos;
-      next.push_back(std::move(upper));
+  const int bits = cell.bits + dims_per_split_;
+  const std::size_t fanout = std::size_t{1} << dims_per_split_;
+  std::vector<Domain> children(fanout);
+  for (std::size_t m = 0; m < fanout; ++m) {
+    Domain& child = children[m];
+    child.prefix = (cell.prefix << dims_per_split_) | m;
+    child.bits = bits;
+    // The next dimensions to bisect follow the global round-robin bit
+    // order: after `bits` consumed bits, step s bisects dimension
+    // (bits + s) mod d, and its half is the s-th most significant of the
+    // appended bits.
+    child.box = cell.box;
+    for (int step = 0; step < dims_per_split_; ++step) {
+      const std::size_t j = (cell.bits + step) % dim;
+      const int half = (m >> (dims_per_split_ - 1 - step)) & 1;
+      child.box.Halve(j, half);
     }
-    children = std::move(next);
+    // Children's key ranges tile the parent's in child order.
+    child.begin = m == 0 ? cell.begin
+                         : index_.LowerBound(child.prefix, bits, cell.begin,
+                                             cell.end);
   }
+  for (std::size_t m = 0; m + 1 < fanout; ++m) {
+    children[m].end = children[m + 1].begin;
+  }
+  children[fanout - 1].end = cell.end;
   return children;
-}
-
-double QuadtreePolicy::Score(const Domain& cell) const {
-  return static_cast<double>(index_.CountPrefix(cell.prefix, cell.bits));
 }
 
 }  // namespace privtree

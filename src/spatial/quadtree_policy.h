@@ -13,15 +13,26 @@
 namespace privtree {
 
 /// The sub-domain descriptor used by spatial decompositions: the geometric
-/// box plus its dyadic address (Morton prefix) for O(log n) counting.
+/// box, its dyadic address (Morton prefix), and the cell's range of the
+/// sorted Morton keys.
+///
+/// The range is fit-time state only: it is meaningful while the
+/// decomposition's MortonIndex is alive, it is never persisted (the
+/// envelope codec writes the box alone), and a restored cell leaves it
+/// empty.
 struct SpatialCell {
   Box box;
   MortonKey prefix = 0;  ///< Low `bits` bits hold the dyadic address.
   int bits = 0;          ///< Number of meaningful bits in `prefix`.
+  std::size_t begin = 0;  ///< The cell's keys are [begin, end) of the
+  std::size_t end = 0;    ///< index's sorted keys.
+
+  /// Exact number of points in the cell.
+  std::size_t count() const { return end - begin; }
 };
 
 /// DecompositionPolicy over boxes; Score is the exact point count of the
-/// cell, computed through a MortonIndex.
+/// cell, the length of the key range each split already located.
 class QuadtreePolicy {
  public:
   using Domain = SpatialCell;
@@ -38,11 +49,15 @@ class QuadtreePolicy {
   bool CanSplit(const Domain& cell) const;
 
   /// 2^i children: all sign combinations of bisecting the next i
-  /// round-robin dimensions.  Child order matches Morton bit order.
+  /// round-robin dimensions.  Child order matches Morton bit order, so the
+  /// children's key ranges tile the parent's; their β−1 inner boundaries
+  /// are binary searches inside the parent's range.
   std::vector<Domain> Split(const Domain& cell) const;
 
   /// Exact point count c(v) of the cell (sensitivity 1, monotonic).
-  double Score(const Domain& cell) const;
+  double Score(const Domain& cell) const {
+    return static_cast<double>(cell.count());
+  }
 
   int fanout() const { return 1 << dims_per_split_; }
   int dims_per_split() const { return dims_per_split_; }

@@ -83,12 +83,12 @@ SpatialHistogram BuildPrivTreeHistogram(const PointSet& points,
 
   // Post-processing: noisy leaf counts with the remaining budget.  One point
   // lies in exactly one leaf, so the leaf-count vector has sensitivity 1.
+  // The exact counts are the key ranges the decomposition located.
   hist.count.assign(hist.tree.size(), 0.0);
   const double count_scale = 1.0 / count_epsilon;
   for (NodeId leaf : hist.tree.LeafIds()) {
-    const auto& cell = hist.tree.node(leaf).domain;
     const double exact =
-        static_cast<double>(index.CountPrefix(cell.prefix, cell.bits));
+        static_cast<double>(hist.tree.node(leaf).domain.count());
     hist.count[leaf] = exact + SampleLaplace(rng, count_scale);
   }
   AggregateLeafCounts(hist.tree, &hist.count);

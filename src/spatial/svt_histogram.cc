@@ -47,9 +47,8 @@ SpatialHistogram BuildSvtTreeHistogram(const PointSet& points,
   hist.count.assign(hist.tree.size(), 0.0);
   const double scale = 1.0 / count_epsilon;
   for (NodeId leaf : hist.tree.LeafIds()) {
-    const auto& cell = hist.tree.node(leaf).domain;
     hist.count[leaf] =
-        static_cast<double>(index.CountPrefix(cell.prefix, cell.bits)) +
+        static_cast<double>(hist.tree.node(leaf).domain.count()) +
         SampleLaplace(rng, scale);
   }
   const auto& nodes = hist.tree.nodes();

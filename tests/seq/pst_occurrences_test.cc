@@ -1,11 +1,13 @@
-// The posting-list machinery against a naive reference implementation:
-// for random datasets and random predictor strings, HistOf(RefineAll(...))
-// must equal a direct scan counting "occurrences of the predictor followed
-// by each symbol".
+// The flat posting index against a naive reference implementation: for
+// random datasets and random predictor strings, both the histograms Refine
+// counts and HistOf over the child postings it sorts must equal a direct
+// scan counting "occurrences of the predictor followed by each symbol".
 #include "seq/pst_occurrences.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dp/rng.h"
@@ -74,35 +76,58 @@ class PstOccurrencesFuzzTest
 TEST_P(PstOccurrencesFuzzTest, RefinementMatchesNaiveCounting) {
   Rng rng(GetParam());
   const std::size_t alphabet = 2 + rng.NextBounded(4);
-  const SequenceDataset data = RandomData(300, alphabet, rng);
-  const PstOccurrences occurrences(data);
+  const SequenceDataset raw = RandomData(300, alphabet, rng);
+  // Uncapped, and capped inside the length range so the l⊤ rule bites.
+  for (const std::size_t l_top :
+       {PstOccurrences::kNoLengthCap, std::size_t{1} + rng.NextBounded(10)}) {
+    const SequenceDataset data =
+        l_top == PstOccurrences::kNoLengthCap ? raw : raw.Truncate(l_top);
+    const PstOccurrences occurrences(raw, l_top);
 
-  // Walk a random refinement chain up to depth 4, checking every node.
-  std::vector<PstPosting> postings = occurrences.RootPostings();
-  std::vector<Symbol> predictor;
-  EXPECT_EQ(occurrences.HistOf(postings), NaiveHist(data, predictor));
-  for (int depth = 0; depth < 4; ++depth) {
-    auto children = occurrences.RefineAll(postings, predictor.size());
-    ASSERT_EQ(children.size(), alphabet + 1);
-    // Check each child against the naive count.
-    std::vector<std::vector<PstPosting>> kept;
-    for (std::size_t c = 0; c <= alphabet; ++c) {
-      std::vector<Symbol> child_predictor;
-      child_predictor.push_back(static_cast<Symbol>(c));
-      child_predictor.insert(child_predictor.end(), predictor.begin(),
-                             predictor.end());
-      EXPECT_EQ(occurrences.HistOf(children[c]),
-                NaiveHist(data, child_predictor))
-          << "depth " << depth << " child " << c;
+    // Walk a random refinement chain up to depth 4, checking every node.
+    std::vector<std::uint32_t> postings(occurrences.root_postings().begin(),
+                                        occurrences.root_postings().end());
+    std::vector<Symbol> predictor;
+    EXPECT_EQ(occurrences.HistOf(postings), NaiveHist(data, predictor));
+    for (int depth = 0; depth < 4; ++depth) {
+      std::vector<std::uint32_t> children;
+      std::vector<std::uint32_t> bounds;
+      std::vector<std::uint32_t> child_hists;
+      occurrences.Refine(postings, predictor.size(), &children, &bounds,
+                         &child_hists);
+      ASSERT_EQ(bounds.size(), alphabet + 2);
+      ASSERT_EQ(child_hists.size(), (alphabet + 1) * (alphabet + 1));
+      EXPECT_EQ(bounds.front(), 0u);
+      EXPECT_EQ(bounds.back(), children.size());
+      // Check each child against the naive count.
+      const auto child_postings = [&](std::size_t c) {
+        return std::span<const std::uint32_t>(children).subspan(
+            bounds[c], bounds[c + 1] - bounds[c]);
+      };
+      for (std::size_t c = 0; c <= alphabet; ++c) {
+        std::vector<Symbol> child_predictor;
+        child_predictor.push_back(static_cast<Symbol>(c));
+        child_predictor.insert(child_predictor.end(), predictor.begin(),
+                               predictor.end());
+        const std::vector<double> naive = NaiveHist(data, child_predictor);
+        EXPECT_EQ(occurrences.HistOf(child_postings(c)), naive)
+            << "depth " << depth << " child " << c;
+        const auto row = child_hists.begin() +
+                         static_cast<std::ptrdiff_t>(c * (alphabet + 1));
+        const std::vector<double> counted(
+            row, row + static_cast<std::ptrdiff_t>(alphabet + 1));
+        EXPECT_EQ(counted, naive) << "depth " << depth << " child " << c;
+      }
+      // Descend into the most populated non-$ child.
+      std::size_t best = 0;
+      for (std::size_t c = 1; c < alphabet; ++c) {
+        if (child_postings(c).size() > child_postings(best).size()) best = c;
+      }
+      if (child_postings(best).empty()) break;
+      predictor.insert(predictor.begin(), static_cast<Symbol>(best));
+      postings.assign(child_postings(best).begin(),
+                      child_postings(best).end());
     }
-    // Descend into the most populated non-$ child.
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < alphabet; ++c) {
-      if (children[c].size() > children[best].size()) best = c;
-    }
-    if (children[best].empty()) break;
-    predictor.insert(predictor.begin(), static_cast<Symbol>(best));
-    postings = std::move(children[best]);
   }
 }
 
@@ -114,17 +139,49 @@ TEST(PstOccurrencesTest, RootPostingsCountAllPredictedPositions) {
   data.Add(std::vector<Symbol>{0, 1});            // 3 positions (incl &).
   data.Add(std::vector<Symbol>{1}, false);        // 1 position (open).
   const PstOccurrences occurrences(data);
-  EXPECT_EQ(occurrences.RootPostings().size(), 4u);
+  EXPECT_EQ(occurrences.root_postings().size(), 4u);
 }
 
 TEST(PstOccurrencesTest, EmptySequenceContributesOnlyEndMarker) {
   SequenceDataset data(2);
   data.Add(std::vector<Symbol>{});  // Padded: $&.
   const PstOccurrences occurrences(data);
-  const auto postings = occurrences.RootPostings();
+  const auto postings = occurrences.root_postings();
   ASSERT_EQ(postings.size(), 1u);
   const auto hist = occurrences.HistOf(postings);
-  EXPECT_DOUBLE_EQ(hist[occurrences.end_slot()], 1.0);
+  EXPECT_DOUBLE_EQ(hist[occurrences.end_code()], 1.0);
+}
+
+TEST(PstOccurrencesTest, LayoutAppliesTheLengthCap) {
+  SequenceDataset data(2);
+  data.Add(std::vector<Symbol>{0, 1});        // Paper length 3 > 2: $01.
+  data.Add(std::vector<Symbol>{1});           // Length 2 fits: $1&.
+  data.Add(std::vector<Symbol>{0, 1, 1}, false);  // Open, 3 > 2: $01.
+  data.Add(std::vector<Symbol>{});            // $&.
+  const PstOccurrences occurrences(data, /*l_top=*/2);
+  const Symbol end = occurrences.end_code();
+  const Symbol dollar = occurrences.dollar_code();
+  const std::vector<Symbol> expected = {dollar, 0, 1,   dollar, 1, end,
+                                        dollar, 0, 1,   dollar, end,
+                                        dollar};  // Trailing sentinel.
+  EXPECT_EQ(std::vector<Symbol>(occurrences.padded().begin(),
+                                occurrences.padded().end()),
+            expected);
+  const std::vector<std::uint32_t> root = {1, 2, 4, 5, 7, 8, 10};
+  EXPECT_EQ(std::vector<std::uint32_t>(occurrences.root_postings().begin(),
+                                       occurrences.root_postings().end()),
+            root);
+}
+
+TEST(PstGrowthDeathTest, SplittingAShallowerNodeLaterAborts) {
+  SequenceDataset data(2);
+  data.Add(std::vector<Symbol>{0, 1, 0, 1});
+  const PstOccurrences occurrences(data);
+  PstGrowth growth(occurrences);
+  const NodeId first = growth.Split(growth.model().root());
+  growth.Split(growth.Split(first));  // Depth 1, then depth 2.
+  // A depth-1 node after a depth-2 split: its level's postings are gone.
+  EXPECT_DEATH(growth.Split(first + 1), "PRIVTREE_CHECK");
 }
 
 }  // namespace

@@ -9,9 +9,11 @@
 #include <cstddef>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/fault.h"
 #include "dp/budget.h"
 #include "dp/rng.h"
 #include "release/options.h"
@@ -237,6 +239,56 @@ TEST(SynopsisCacheBytesTest, SpillByteCountersTrackWritesAndReads) {
     EXPECT_GT(cache.stats().spill_bytes_read, 0u);
     EXPECT_LE(cache.stats().spill_bytes_read,
               cache.stats().spill_bytes_written);
+  }
+  fs::remove_all(dir);
+}
+
+/// The envelope bytes `method` serializes to (its spill file's size).
+std::size_t EnvelopeSize(const release::Method& method) {
+  std::ostringstream out;
+  EXPECT_TRUE(method.Save(out).ok());
+  return out.str().size();
+}
+
+TEST(SynopsisCacheBytesTest, ResidentBytesEqualEnvelopeSizeOnEveryPath) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "privtree_cache_sized";
+  fs::remove_all(dir);
+  const PointSet points = TestPoints();
+  const auto no_fit = [&] {
+    ADD_FAILURE() << "a cached synopsis was re-fitted";
+    return FitUg(points, 9);
+  };
+  {
+    SynopsisCache cache(1, SpillOptions{dir.string(), 16});
+    // A fresh fit.
+    const auto first =
+        cache.GetOrFit(KeyFor(1), [&] { return FitUg(points, 1); });
+    EXPECT_EQ(cache.stats().resident_bytes, EnvelopeSize(*first));
+
+    // Hold the writer inside its first write, so key 1 — evicted by key 2 —
+    // is still in the write-behind buffer when it is asked for again.
+    fault::Injector::Global().Arm({.point = "spill.write",
+                                   .kind = fault::Kind::kDelay,
+                                   .max_triggers = 1,
+                                   .delay_millis = 1000});
+    const auto second =
+        cache.GetOrFit(KeyFor(2), [&] { return FitUg(points, 2); });
+    EXPECT_EQ(cache.stats().resident_bytes, EnvelopeSize(*second));
+    const auto promoted = cache.GetOrFit(KeyFor(1), no_fit);
+#ifndef PRIVTREE_NO_FAULT_INJECTION
+    EXPECT_EQ(cache.stats().writeback_hits, 1u);
+#endif
+    EXPECT_EQ(cache.stats().resident_bytes, EnvelopeSize(*promoted));
+    cache.FlushSpill();
+    fault::Injector::Global().Reset();
+
+    // Key 2 was evicted by the promotion and is now only on disk.
+    const auto rehydrated = cache.GetOrFit(KeyFor(2), no_fit);
+    EXPECT_EQ(cache.stats().spill_hits, 1u);
+    EXPECT_EQ(cache.stats().resident_bytes, EnvelopeSize(*rehydrated));
+    EXPECT_EQ(EnvelopeSize(*rehydrated), EnvelopeSize(*second));
   }
   fs::remove_all(dir);
 }
