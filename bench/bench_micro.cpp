@@ -1,9 +1,11 @@
 // Google-benchmark microbenchmarks of the library's hot paths: Laplace
-// sampling, Morton counting, PrivTree construction, range queries, PST and
-// n-gram construction.  These are engineering benchmarks (not paper artifacts)
+// sampling, Morton index construction, PrivTree construction, range
+// queries, the batch-query kernels (grid, AG, tree), PST and n-gram
+// construction.  These are engineering benchmarks (not paper artifacts)
 // used to keep the reproduction fast enough for the paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/privtree.h"
@@ -13,6 +15,10 @@
 #include "dp/distributions.h"
 #include "dp/rng.h"
 #include "eval/workload.h"
+#include "hist/ag.h"
+#include "hist/grid.h"
+#include "hist/grid_kernels.h"
+#include "release/tree_batch.h"
 #include "seq/ngram.h"
 #include "seq/pst_privtree.h"
 #include "spatial/morton_index.h"
@@ -55,17 +61,6 @@ BENCHMARK(BM_MortonIndexBuild)
     ->Args({98013, 2})
     ->Unit(benchmark::kMillisecond);
 
-void BM_MortonCountPrefix(benchmark::State& state) {
-  Rng rng(3);
-  const PointSet points = GenerateGowallaLike(100000, rng);
-  const MortonIndex index(points, Box::UnitCube(2));
-  MortonKey prefix = 0b1001;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.CountPrefix(prefix, 4));
-  }
-}
-BENCHMARK(BM_MortonCountPrefix);
-
 void BM_PrivTreeBuild(benchmark::State& state) {
   Rng data_rng(4);
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -95,6 +90,97 @@ void BM_RangeQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RangeQuery);
+
+// The batch-query kernels on one seeded, skewed 2-d dataset (40,000
+// points, x = u·v and y uniform) and one 4,000-box medium-band workload.
+struct KernelCase {
+  PointSet points{2};
+  std::vector<Box> queries;
+};
+
+const KernelCase& KernelData() {
+  static const KernelCase data = [] {
+    KernelCase c;
+    Rng data_rng(0x5EED);
+    std::vector<double> p(2);
+    for (std::size_t i = 0; i < 40000; ++i) {
+      p[0] = data_rng.NextDouble() * data_rng.NextDouble();
+      p[1] = data_rng.NextDouble();
+      c.points.Add(p);
+    }
+    Rng query_rng(0xBEEF);
+    c.queries =
+        GenerateRangeQueries(Box::UnitCube(2), 4000, kMediumQueries, query_rng);
+    return c;
+  }();
+  return data;
+}
+
+void SetQueriesProcessed(benchmark::State& state) {
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(KernelData().queries.size()));
+}
+
+// Arg: 0 the generic-dimension reference (QueryBatchReference), 1 the flat
+// scalar kernel, 2 the SIMD kernel GridHistogram::QueryBatch serves with.
+void BM_GridQueryBatch2D(benchmark::State& state) {
+  const KernelCase& data = KernelData();
+  GridHistogram grid =
+      GridHistogram::FromPoints(data.points, Box::UnitCube(2), {256, 256});
+  Rng noise(0xF00D);
+  grid.AddLaplaceNoise(2.0, noise);
+  grid.BuildPrefixSums();
+  const Grid2DView view = grid.KernelView2D();
+  std::vector<double> answers(data.queries.size());
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      answers = grid.QueryBatchReference(data.queries);
+    } else if (state.range(0) == 1) {
+      GridQueryBatch2DScalar(view, data.queries, answers.data());
+    } else {
+      GridQueryBatch2DSimd(view, data.queries, answers.data());
+    }
+    benchmark::DoNotOptimize(answers.data());
+    benchmark::ClobberMemory();
+  }
+  SetQueriesProcessed(state);
+}
+BENCHMARK(BM_GridQueryBatch2D)->ArgName("path")->Arg(0)->Arg(1)->Arg(2);
+
+// Arg: 0 the parity oracle (summed-area interior plus per-sub-grid Query
+// on the boundary), 1 the kernel path AdaptiveGrid::QueryBatch serves with.
+void BM_AgQueryBatch(benchmark::State& state) {
+  const KernelCase& data = KernelData();
+  Rng fit_rng(0xA6);
+  const AdaptiveGrid grid(data.points, Box::UnitCube(2), 1.0, {}, fit_rng);
+  for (auto _ : state) {
+    const std::vector<double> answers =
+        state.range(0) == 0 ? grid.QueryBatchReference(data.queries)
+                            : grid.QueryBatch(data.queries);
+    benchmark::DoNotOptimize(answers.data());
+  }
+  SetQueriesProcessed(state);
+}
+BENCHMARK(BM_AgQueryBatch)->ArgName("path")->Arg(0)->Arg(1);
+
+// The structure-of-arrays tree sweep a fitted PrivTree histogram serves
+// its batches with.
+void BM_TreeBatchIndexQuery(benchmark::State& state) {
+  const KernelCase& data = KernelData();
+  Rng fit_rng(0x7EE);
+  const SpatialHistogram hist =
+      BuildPrivTreeHistogram(data.points, Box::UnitCube(2), 1.0, {}, fit_rng);
+  const release::TreeBatchIndex index(
+      hist.tree, hist.count,
+      [](const SpatialCell& c) -> const Box& { return c.box; });
+  for (auto _ : state) {
+    const std::vector<double> answers = index.Query(data.queries);
+    benchmark::DoNotOptimize(answers.data());
+  }
+  SetQueriesProcessed(state);
+}
+BENCHMARK(BM_TreeBatchIndexQuery);
 
 // Args: sequence count, then the data shape — 0 msnbc-like, 1 mooc-like
 // (the servebench mooc tenant is kMoocCardinality sequences).  The raw

@@ -215,13 +215,6 @@ std::vector<double> GridHistogram::QueryBatchReference(
   return answers;
 }
 
-double GridHistogram::QueryReference(const Box& q) const {
-  PRIVTREE_CHECK(prefix_valid_);
-  PRIVTREE_CHECK_EQ(q.dim(), dim());
-  PRIVTREE_CHECK_LE(dim(), 8u);
-  return QueryImpl(q);
-}
-
 Grid2DView GridHistogram::KernelView2D() const {
   PRIVTREE_CHECK(prefix_valid_);
   PRIVTREE_CHECK_EQ(dim(), 2u);

@@ -69,11 +69,6 @@ class GridHistogram {
   /// for the specialized kernels (tests compare the two bit-for-bit).
   std::vector<double> QueryBatchReference(std::span<const Box> queries) const;
 
-  /// One query through the generic-dimension path (the pre-kernel scalar
-  /// code), bit-for-bit equal to Query.  For parity tests and baseline
-  /// timings; serving goes through Query/QueryBatch.
-  double QueryReference(const Box& q) const;
-
   /// Flat kernel view of a 2-d grid (requires dim() == 2 and a valid prefix
   /// lattice); valid while this histogram is alive and unmodified.
   Grid2DView KernelView2D() const;

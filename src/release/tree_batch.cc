@@ -9,8 +9,9 @@ namespace {
 // The three geometric predicates of the sweep, on the SoA bound planes.
 // Each mirrors the Box member it replaces operand-for-operand (the query is
 // `this`, the node is `other`, except IntersectionVolume where the node box
-// is the receiver — exactly as BatchQueryTree invokes them), so the
-// classification and the partial-leaf arithmetic are bit-identical.
+// is the receiver — exactly as a sweep over the tree's Box objects invokes
+// them), so the classification and the partial-leaf arithmetic are
+// bit-identical.
 
 inline bool QueryIntersectsNode(const Box& q, const double* lo,
                                 const double* hi, std::size_t stride,

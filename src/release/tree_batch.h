@@ -2,7 +2,7 @@
 //
 // The per-query traversal in SpatialHistogram::Query walks the tree once
 // per query; with thousands of workload queries the node array is re-read
-// from memory each time.  BatchQueryTree instead sweeps the node array
+// from memory each time.  TreeBatchIndex instead sweeps the node array
 // *once* in id order (children always have larger ids than their parents,
 // see DecompTree::AddChild) carrying, per node, the list of queries that
 // partially overlap it.  Each query/node pair is classified exactly as in
@@ -10,15 +10,14 @@
 // partial-leaf (uniformity assumption) — so the answers agree with repeated
 // Query up to floating-point summation order.
 //
-// TreeBatchIndex is the production form of that sweep: the tree is
-// flattened once, at fit/load time, into structure-of-arrays storage
-// (dimension-major bound planes, a count array, precomputed leaf volumes,
-// CSR child lists) so the per-(query, node) classification reads
+// The tree is flattened once, at fit/load time, into structure-of-arrays
+// storage (dimension-major bound planes, a count array, precomputed leaf
+// volumes, CSR child lists) so the per-(query, node) classification reads
 // contiguous doubles instead of chasing DecompNode and Box allocations.
-// Its Query answers are bit-for-bit identical to BatchQueryTree on the
-// same tree — the comparisons and arithmetic run in the same order on the
-// same values — and the template sweep below is kept as the parity oracle
-// the tests compare against.
+// The parity tests (tests/release/kernel_parity_test.cc) hold a template
+// sweep over the DecompTree itself as the oracle; Query matches it bit for
+// bit — the comparisons and arithmetic run in the same order on the same
+// values.
 #ifndef PRIVTREE_RELEASE_TREE_BATCH_H_
 #define PRIVTREE_RELEASE_TREE_BATCH_H_
 
@@ -32,61 +31,6 @@
 
 namespace privtree::release {
 
-/// Answers all `queries` against a decomposition tree with released counts
-/// `count` (indexed by node id).  `box_of` maps a node's Domain to its
-/// geometric Box.  Returns one estimate per query, in input order.
-template <typename Domain, typename BoxOf>
-std::vector<double> BatchQueryTree(const DecompTree<Domain>& tree,
-                                   const std::vector<double>& count,
-                                   std::span<const Box> queries,
-                                   BoxOf&& box_of) {
-  std::vector<double> answers(queries.size(), 0.0);
-  if (tree.empty() || queries.empty()) return answers;
-  PRIVTREE_CHECK_EQ(count.size(), tree.size());
-
-  // active[v] = queries partially overlapping node v, discovered while
-  // processing v's parent.  Lists are freed as soon as the node is swept.
-  std::vector<std::vector<std::uint32_t>> active(tree.size());
-  const Box& root_box = box_of(tree.node(tree.root()).domain);
-  for (std::uint32_t q = 0; q < queries.size(); ++q) {
-    if (!queries[q].Intersects(root_box)) continue;
-    if (queries[q].ContainsBox(root_box)) {
-      answers[q] += count[tree.root()];
-      continue;
-    }
-    active[tree.root()].push_back(q);
-  }
-
-  for (std::size_t v = 0; v < tree.size(); ++v) {
-    if (active[v].empty()) continue;
-    const auto& node = tree.node(static_cast<NodeId>(v));
-    if (node.is_leaf()) {
-      // Partial leaf: uniformity assumption inside the cell.
-      const Box& dom = box_of(node.domain);
-      const double volume = dom.Volume();
-      if (volume > 0.0) {
-        for (const std::uint32_t q : active[v]) {
-          answers[q] += count[v] * (dom.IntersectionVolume(queries[q]) / volume);
-        }
-      }
-    } else {
-      for (const NodeId child : node.children) {
-        const Box& child_box = box_of(tree.node(child).domain);
-        for (const std::uint32_t q : active[v]) {
-          if (!queries[q].Intersects(child_box)) continue;
-          if (queries[q].ContainsBox(child_box)) {
-            answers[q] += count[child];
-          } else {
-            active[child].push_back(q);
-          }
-        }
-      }
-    }
-    active[v] = {};  // Free the list; the sweep never revisits v.
-  }
-  return answers;
-}
-
 /// Structure-of-arrays snapshot of a decomposition tree with released
 /// counts, built once per synopsis and reused by every QueryBatch call.
 class TreeBatchIndex {
@@ -94,8 +38,8 @@ class TreeBatchIndex {
   /// An empty index answers every query with 0.
   TreeBatchIndex() = default;
 
-  /// Flattens `tree` (bounds via `box_of`, as in BatchQueryTree) and takes
-  /// ownership of the released counts.
+  /// Flattens `tree` (`box_of` maps a node's Domain to its geometric Box)
+  /// and takes ownership of the released counts, indexed by node id.
   template <typename Domain, typename BoxOf>
   TreeBatchIndex(const DecompTree<Domain>& tree, std::vector<double> count,
                  BoxOf&& box_of)
@@ -130,8 +74,7 @@ class TreeBatchIndex {
   std::size_t size() const { return n_; }
   std::size_t dim() const { return dim_; }
 
-  /// Answers all queries; bit-for-bit equal to BatchQueryTree on the
-  /// source tree and counts.
+  /// Answers all queries, one estimate per query in input order.
   std::vector<double> Query(std::span<const Box> queries) const;
 
  private:

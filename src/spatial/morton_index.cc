@@ -171,12 +171,6 @@ MortonKey MortonIndex::KeyOf(std::span<const double> point) const {
   return key;
 }
 
-std::size_t MortonIndex::CountPrefix(MortonKey prefix, int bits) const {
-  if (bits == 0) return keys_.size();
-  return LowerBound(prefix + 1, bits, 0, keys_.size()) -
-         LowerBound(prefix, bits, 0, keys_.size());
-}
-
 std::size_t MortonIndex::LowerBound(MortonKey prefix, int bits,
                                     std::size_t begin, std::size_t end) const {
   PRIVTREE_CHECK_GT(bits, 0);

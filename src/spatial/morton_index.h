@@ -59,10 +59,6 @@ class MortonIndex {
   int max_prefix_bits() const { return max_prefix_bits_; }
   std::size_t size() const { return keys_.size(); }
 
-  /// Number of points whose key starts with the low `bits` bits of
-  /// `prefix`.  bits == 0 returns size().
-  std::size_t CountPrefix(MortonKey prefix, int bits) const;
-
   /// The first position in [begin, end) of the sorted keys whose key is
   /// not below the cell (prefix, bits)'s first key; `end` if none.
   /// Requires 0 < bits and begin <= end <= size().

@@ -4,12 +4,13 @@
 // serving; mid-frame connection resets and torn frames must be absorbed by
 // the client's reconnect + resend discipline with zero failed requests; a
 // stuck fit must be failed by the engine watchdog instead of wedging its
-// reply slot; and a closed-loop client must survive a full server-loop
-// restart transparently.  Every scenario asserts bit-for-bit parity with
-// the in-process ReleaseSession oracle — chaos may slow answers down, but
-// it must never change them.
+// reply slot; and closed-loop clients — one, and four on their own
+// threads — must survive a full server-loop restart transparently.  Every
+// scenario asserts bit-for-bit parity with the in-process ReleaseSession
+// oracle — chaos may slow answers down, but it must never change them.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "core/fault.h"
+#include "core/sync.h"
 #include "dp/rng.h"
 #include "dp/status.h"
 #include "eval/workload.h"
@@ -263,7 +265,13 @@ TEST_F(ChaosTest, StuckFitIsFailedByTheWatchdogNotWedged) {
   EXPECT_GE(stack.registry->Find(0)->Stats().watchdog_fired, 1u);
 }
 
-TEST_F(ChaosTest, ClosedLoopClientSurvivesServerRestartWithZeroFailures) {
+/// The restart scenario, run by one client and by several concurrent ones.
+class ChaosRestartTest : public ChaosTest,
+                         public ::testing::WithParamInterface<std::size_t> {};
+
+TEST_P(ChaosRestartTest,
+       ClosedLoopClientSurvivesServerRestartWithZeroFailures) {
+  const std::size_t client_count = GetParam();
   const PointSet points = TestPoints();
   const std::vector<Box> queries = TestQueries();
   serve::ThreadPool pool(4);
@@ -282,46 +290,95 @@ TEST_F(ChaosTest, ClosedLoopClientSurvivesServerRestartWithZeroFailures) {
                                           EventLoopOptions{});
   std::thread serving([&loop] { EXPECT_TRUE(loop->Run().ok()); });
 
-  ClientOptions options;
-  options.max_attempts = 10;
-  options.base_backoff_millis = 20;
-  auto connected = Client::Connect("127.0.0.1", port, options);
-  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-  Client client = std::move(connected).value();
-
-  std::size_t failed = 0;
-  for (int i = 0; i < 30; ++i) {
-    if (i == 15) {
-      // Restart the serving loop on the same port mid-run; the registry,
-      // cache, and dispatcher survive (a front-end bounce, the common
-      // deployment restart).
-      loop->Stop();
-      serving.join();
-      auto relisten = ListenSocket::Listen(port);
-      ASSERT_TRUE(relisten.ok()) << relisten.status().ToString();
-      loop = std::make_unique<EventLoop>(dispatcher,
-                                         std::move(relisten).value(),
-                                         EventLoopOptions{});
-      serving = std::thread([&loop] { EXPECT_TRUE(loop->Run().ok()); });
-    }
-    const std::uint64_t seed = 1 + (i % 3);
-    const FitSpec spec{"ug", {}, kEpsilon, seed};
-    auto answers = client.QueryBatch(spec, queries);
-    if (!answers.ok()) {
-      ++failed;
-      ADD_FAILURE() << "request " << i << ": "
-                    << answers.status().ToString();
-      continue;
-    }
-    EXPECT_EQ(answers.value(), OracleAnswers(points, "ug", seed, queries))
-        << "request " << i << " diverged across the restart";
+  const std::vector<std::uint64_t> seeds = {1, 2, 3};
+  std::vector<std::vector<double>> oracle;
+  for (const std::uint64_t seed : seeds) {
+    oracle.push_back(OracleAnswers(points, "ug", seed, queries));
   }
-  EXPECT_EQ(failed, 0u);
-  EXPECT_GE(client.telemetry().reconnects, 1u);
 
+  // Every client runs 15 requests, waits at the barrier while the serving
+  // loop restarts under its (now dead) connection, then runs 15 more, which
+  // forces each one through reconnect + resend.
+  constexpr int kRequestsPerPhase = 15;
+  Mutex mu;
+  CondVar cv;
+  std::size_t at_barrier = 0;
+  bool restarted = false;
+  std::atomic<std::size_t> failed{0};
+  std::vector<std::uint64_t> reconnects(client_count, 0);
+  const auto run_client = [&](std::size_t index) {
+    ClientOptions options;
+    options.max_attempts = 10;
+    options.base_backoff_millis = 20;
+    options.backoff_seed = 0xC4A05 + index;
+    auto connected = Client::Connect("127.0.0.1", port, options);
+    const bool ok = connected.ok();
+    EXPECT_TRUE(ok) << connected.status().ToString();
+    for (int i = 0; i < 2 * kRequestsPerPhase; ++i) {
+      if (i == kRequestsPerPhase) {
+        MutexLock lock(mu);
+        ++at_barrier;
+        cv.NotifyAll();
+        while (!restarted) cv.Wait(lock);
+      }
+      if (!ok) continue;
+      const std::size_t s = (i + index) % seeds.size();
+      const FitSpec spec{"ug", {}, kEpsilon, seeds[s]};
+      auto answers = connected.value().QueryBatch(spec, queries);
+      if (!answers.ok()) {
+        ++failed;
+        ADD_FAILURE() << "client " << index << " request " << i << ": "
+                      << answers.status().ToString();
+        continue;
+      }
+      EXPECT_EQ(answers.value(), oracle[s])
+          << "client " << index << " request " << i
+          << " diverged across the restart";
+    }
+    if (ok) reconnects[index] = connected.value().telemetry().reconnects;
+  };
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < client_count; ++c) {
+    clients.emplace_back(run_client, c);
+  }
+
+  {
+    MutexLock lock(mu);
+    while (at_barrier < client_count) cv.Wait(lock);
+  }
+  // Restart the serving loop on the same port while every client holds a
+  // live connection; the registry, cache, and dispatcher survive (a
+  // front-end bounce, the common deployment restart).
   loop->Stop();
   serving.join();
+  auto relisten = ListenSocket::Listen(port);
+  EXPECT_TRUE(relisten.ok()) << relisten.status().ToString();
+  if (relisten.ok()) {
+    loop = std::make_unique<EventLoop>(dispatcher,
+                                       std::move(relisten).value(),
+                                       EventLoopOptions{});
+    serving = std::thread([&loop] { EXPECT_TRUE(loop->Run().ok()); });
+  }
+  {
+    MutexLock lock(mu);
+    restarted = true;
+  }
+  cv.NotifyAll();
+  for (std::thread& client : clients) client.join();
+
+  EXPECT_EQ(failed.load(), 0u);
+  for (std::size_t c = 0; c < client_count; ++c) {
+    EXPECT_GE(reconnects[c], 1u) << "client " << c;
+  }
+  if (serving.joinable()) {
+    loop->Stop();
+    serving.join();
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Clients, ChaosRestartTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace privtree::server

@@ -282,7 +282,7 @@ TEST(EnvelopeCompatTest, V2SequenceEnvelopesLoadBitForBitAndUpgradeOnSave) {
 
 TEST(EnvelopeCompatTest, CompressedTreeEnvelopesAreAtLeastHalfTheSize) {
   // The perf_opt acceptance bar: v3 tree-family envelopes at ≤ half their
-  // v2 size (BENCH_kernels.json records the measured ratios).
+  // v2 size; this test is the gate that holds it.
   const PointSet points = TestPoints();
   std::uint64_t seed = 47;
   for (const char* name : {"privtree", "simpletree", "kdtree"}) {

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "core/tree.h"
 #include "dp/rng.h"
 #include "eval/workload.h"
 #include "hist/ag.h"
@@ -39,6 +40,63 @@ PointSet TestPoints(std::size_t n, std::uint64_t seed, std::size_t dim = 2) {
     points.Add(p);
   }
   return points;
+}
+
+/// The template sweep TreeBatchIndex flattened, kept here as its parity
+/// oracle: one pass over the node array in id order (children have larger
+/// ids than their parents), carrying per node the queries that partially
+/// overlap it, classifying each query/node pair with the Box members.
+/// `box_of` maps a node's Domain to its geometric Box.
+template <typename Domain, typename BoxOf>
+std::vector<double> BatchQueryTree(const DecompTree<Domain>& tree,
+                                   const std::vector<double>& count,
+                                   std::span<const Box> queries,
+                                   BoxOf&& box_of) {
+  std::vector<double> answers(queries.size(), 0.0);
+  if (tree.empty() || queries.empty()) return answers;
+  EXPECT_EQ(count.size(), tree.size());
+
+  // active[v] = queries partially overlapping node v, discovered while
+  // processing v's parent.  Lists are freed as soon as the node is swept.
+  std::vector<std::vector<std::uint32_t>> active(tree.size());
+  const Box& root_box = box_of(tree.node(tree.root()).domain);
+  for (std::uint32_t q = 0; q < queries.size(); ++q) {
+    if (!queries[q].Intersects(root_box)) continue;
+    if (queries[q].ContainsBox(root_box)) {
+      answers[q] += count[tree.root()];
+      continue;
+    }
+    active[tree.root()].push_back(q);
+  }
+
+  for (std::size_t v = 0; v < tree.size(); ++v) {
+    if (active[v].empty()) continue;
+    const auto& node = tree.node(static_cast<NodeId>(v));
+    if (node.is_leaf()) {
+      // Partial leaf: uniformity assumption inside the cell.
+      const Box& dom = box_of(node.domain);
+      const double volume = dom.Volume();
+      if (volume > 0.0) {
+        for (const std::uint32_t q : active[v]) {
+          answers[q] += count[v] * (dom.IntersectionVolume(queries[q]) / volume);
+        }
+      }
+    } else {
+      for (const NodeId child : node.children) {
+        const Box& child_box = box_of(tree.node(child).domain);
+        for (const std::uint32_t q : active[v]) {
+          if (!queries[q].Intersects(child_box)) continue;
+          if (queries[q].ContainsBox(child_box)) {
+            answers[q] += count[child];
+          } else {
+            active[child].push_back(q);
+          }
+        }
+      }
+    }
+    active[v] = {};  // Free the list; the sweep never revisits v.
+  }
+  return answers;
 }
 
 /// Random boxes plus the degenerate shapes the kernels must not special-case
@@ -132,7 +190,7 @@ TEST(TreeBatchIndexParityTest, MatchesTheTemplateSweepOnSpatialTrees) {
       points, Box::UnitCube(2), 1.0, simple_options, simple_rng);
 
   for (const SpatialHistogram* hist : {&privtree, &simple}) {
-    const std::vector<double> want = release::BatchQueryTree(
+    const std::vector<double> want = BatchQueryTree(
         hist->tree, hist->count, std::span<const Box>(queries), box_of);
     const release::TreeBatchIndex index(hist->tree, hist->count, box_of);
     EXPECT_EQ(index.size(), hist->tree.size());
@@ -152,7 +210,7 @@ TEST(TreeBatchIndexParityTest, MatchesTheTemplateSweepOnKdTrees) {
   const KdTreeHistogram kd(points, Box::UnitCube(2), 1.0, options, rng);
   const auto box_of = [](const Box& b) -> const Box& { return b; };
   const std::vector<Box> queries = AdversarialQueries(250, 0x1D2);
-  const std::vector<double> want = release::BatchQueryTree(
+  const std::vector<double> want = BatchQueryTree(
       kd.tree(), kd.counts(), std::span<const Box>(queries), box_of);
   const release::TreeBatchIndex index(kd.tree(), kd.counts(), box_of);
   const std::vector<double> got = index.Query(queries);

@@ -1,6 +1,7 @@
 // The epoll readiness loop, end to end: served answers are bit-for-bit
-// in-process ReleaseSession answers, pipelined frames come back in request
-// order, a half-open slow-loris peer is reaped by the idle timeout without
+// in-process ReleaseSession answers (spatial and sequence tenants, across
+// 64 concurrent connections), pipelined frames come back in request order,
+// a half-open slow-loris peer is reaped by the idle timeout without
 // disturbing other clients (the regression this file pins), malformed
 // length prefixes answer ErrorReply and close cleanly, server-side errors
 // (a non-finite ε among them) come back as statuses on a connection that
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -27,7 +29,9 @@
 #include "eval/workload.h"
 #include "release/dataset.h"
 #include "release/registry.h"
+#include "release/sequence_query.h"
 #include "release/session.h"
+#include "seq/sequence.h"
 #include "serve/synopsis_cache.h"
 #include "serve/thread_pool.h"
 #include "server/client.h"
@@ -60,6 +64,41 @@ PointSet TestPoints(std::size_t n = 300) {
 std::vector<Box> TestQueries(std::size_t n = 25) {
   Rng rng(0xBEEF);
   return GenerateRangeQueries(Box::UnitCube(2), n, kMediumQueries, rng);
+}
+
+constexpr std::size_t kAlphabet = 6;
+constexpr std::size_t kLTop = 8;
+
+SequenceDataset TestSequences(std::size_t n = 300) {
+  Rng rng(0xDA7A5EC);
+  SequenceDataset data(kAlphabet);
+  std::vector<Symbol> s;
+  for (std::size_t i = 0; i < n; ++i) {
+    s.clear();
+    const std::size_t len = 1 + rng.NextBounded(10);
+    for (std::size_t j = 0; j < len; ++j) {
+      s.push_back(static_cast<Symbol>(rng.NextBounded(kAlphabet)));
+    }
+    data.Add(s);
+  }
+  return data.Truncate(kLTop);
+}
+
+std::vector<release::SequenceQuery> TestSequenceQueries() {
+  std::vector<release::SequenceQuery> queries;
+  Rng rng(0xF00D);
+  for (int i = 0; i < 24; ++i) {
+    std::vector<Symbol> s;
+    const std::size_t len = 1 + rng.NextBounded(4);
+    for (std::size_t j = 0; j < len; ++j) {
+      s.push_back(static_cast<Symbol>(rng.NextBounded(kAlphabet)));
+    }
+    queries.push_back(i % 4 == 0
+                          ? release::SequenceQuery::PrefixCount(s)
+                          : release::SequenceQuery::Frequency(s));
+  }
+  queries.push_back(release::SequenceQuery::TopK(5, 2));
+  return queries;
 }
 
 /// One epoll serving stack on an ephemeral port, torn down in order.
@@ -162,29 +201,77 @@ TEST_F(EventLoopFixture, PipelinedFramesAnswerInRequestOrder) {
 }
 
 TEST_F(EventLoopFixture, ConcurrentClientsShareOneCache) {
+  // Mixed traffic: a sequence tenant beside the spatial default, and 8
+  // threads each holding 8 live connections (64 in all) that send both
+  // kinds of batch.  Every answer must be the ReleaseSession answer, bit
+  // for bit.
+  const SequenceDataset sequences = TestSequences();
+  const auto seq_tenant = registry_->Register("seq", sequences);
+  ASSERT_TRUE(seq_tenant.ok()) << seq_tenant.status().ToString();
+
   const std::vector<Box> queries = TestQueries();
-  constexpr std::size_t kClients = 8;
+  const std::vector<release::SequenceQuery> seq_queries =
+      TestSequenceQueries();
+  release::MethodOptions seq_options;
+  seq_options.Set("l_top", std::to_string(kLTop));
+  struct Case {
+    FitSpec spec;
+    bool sequence;
+    std::vector<double> want;
+  };
+  std::vector<Case> cases = {
+      {{"privtree", {}, kEpsilon, kSeed}, false, {}},
+      {{"ug", {}, kEpsilon, kSeed}, false, {}},
+      {{"pst_privtree", seq_options, kEpsilon, kSeed}, true, {}},
+      {{"ngram", seq_options, kEpsilon, kSeed}, true, {}}};
+  for (Case& c : cases) {
+    if (c.sequence) {
+      release::ReleaseSession session(sequences, kEpsilon, kSeed);
+      c.want = session.ReleaseRemaining(c.spec.method, c.spec.options)
+                   ->QueryBatch(std::span(seq_queries));
+    } else {
+      release::ReleaseSession session(*points_, Box::UnitCube(2), kEpsilon,
+                                      kSeed);
+      c.want = session.Release(c.spec.method, kEpsilon)->QueryBatch(queries);
+    }
+  }
+
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kConnectionsPerThread = 8;
   std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (std::size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&] {
-      auto connected = Client::Connect("127.0.0.1", port_);
-      if (!connected.ok()) {
-        ++failures;
-        return;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      std::vector<Client> connections;
+      for (std::size_t c = 0; c < kConnectionsPerThread; ++c) {
+        auto connected = Client::Connect("127.0.0.1", port_);
+        if (!connected.ok()) {
+          ++failures;
+          continue;
+        }
+        connections.push_back(std::move(connected).value());
       }
-      Client client = std::move(connected).value();
-      for (const char* method : {"privtree", "ug"}) {
-        const FitSpec spec{method, {}, kEpsilon, kSeed};
-        const auto answers = client.QueryBatch(spec, queries);
-        if (!answers.ok()) ++failures;
+      for (Client& client : connections) {
+        for (const Case& c : cases) {
+          client.SelectDataset(c.sequence ? seq_tenant.value() : 0);
+          const auto answers =
+              c.sequence ? client.SeqQueryBatch(c.spec, seq_queries)
+                         : client.QueryBatch(c.spec, queries);
+          if (!answers.ok()) {
+            ++failures;
+          } else if (answers.value() != c.want) {
+            ++mismatches;
+          }
+        }
       }
     });
   }
-  for (std::thread& client : clients) client.join();
+  for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  // All clients shared one cache: exactly one fit per method happened.
-  EXPECT_EQ(cache_->stats().misses, 2u);
+  EXPECT_EQ(mismatches.load(), 0);
+  // All connections shared one cache: exactly one fit per (tenant, method).
+  EXPECT_EQ(cache_->stats().misses, cases.size());
 }
 
 class EventLoopTimeoutFixture : public EventLoopFixture {

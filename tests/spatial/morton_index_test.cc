@@ -14,6 +14,15 @@
 namespace privtree {
 namespace {
 
+/// Points whose key starts with the low `bits` bits of `prefix` (bits == 0
+/// counts every point), by two LowerBound searches over the whole keys.
+std::size_t CountPrefix(const MortonIndex& index, MortonKey prefix,
+                        int bits) {
+  if (bits == 0) return index.size();
+  return index.LowerBound(prefix + 1, bits, 0, index.size()) -
+         index.LowerBound(prefix, bits, 0, index.size());
+}
+
 PointSet RandomPoints(std::size_t n, std::size_t dim, Rng& rng) {
   PointSet points(dim);
   std::vector<double> p(dim);
@@ -95,11 +104,11 @@ void ExpectMatchesReference(const PointSet& points, const Box& root) {
       ++brute[bits == 0 ? 0 : key >> (max_bits - bits)];
     }
     for (const auto& [prefix, count] : brute) {
-      ASSERT_EQ(index.CountPrefix(prefix, bits), count) << "bits=" << bits;
+      ASSERT_EQ(CountPrefix(index, prefix, bits), count) << "bits=" << bits;
       const MortonKey next = prefix + 1;
       if (bits > 0 && next >> bits == 0) {
         const auto it = brute.find(next);
-        ASSERT_EQ(index.CountPrefix(next, bits),
+        ASSERT_EQ(CountPrefix(index, next, bits),
                   it == brute.end() ? 0u : it->second)
             << "bits=" << bits;
       }
@@ -184,8 +193,8 @@ TEST(MortonIndexTest, KeysMatchReferenceOnTinyInputs) {
     const PointSet empty(dim);
     const MortonIndex index(empty, Box::UnitCube(dim));
     EXPECT_EQ(index.size(), 0u);
-    EXPECT_EQ(index.CountPrefix(0, 0), 0u);
-    EXPECT_EQ(index.CountPrefix(1, 1), 0u);
+    EXPECT_EQ(CountPrefix(index, 0, 0), 0u);
+    EXPECT_EQ(CountPrefix(index, 1, 1), 0u);
     ExpectMatchesReference(RandomPoints(1, dim, rng), Box::UnitCube(dim));
   }
 }
@@ -194,7 +203,7 @@ TEST(MortonIndexTest, EmptyPrefixCountsEverything) {
   Rng rng(1);
   const PointSet points = RandomPoints(1000, 2, rng);
   const MortonIndex index(points, Box::UnitCube(2));
-  EXPECT_EQ(index.CountPrefix(0, 0), 1000u);
+  EXPECT_EQ(CountPrefix(index, 0, 0), 1000u);
 }
 
 TEST(MortonIndexTest, FirstLevelPartitions2D) {
@@ -203,7 +212,7 @@ TEST(MortonIndexTest, FirstLevelPartitions2D) {
   const MortonIndex index(points, Box::UnitCube(2));
   // The four depth-1 quadrants (2 bits) partition the points.
   std::size_t total = 0;
-  for (MortonKey q = 0; q < 4; ++q) total += index.CountPrefix(q, 2);
+  for (MortonKey q = 0; q < 4; ++q) total += CountPrefix(index, q, 2);
   EXPECT_EQ(total, 5000u);
 }
 
@@ -215,7 +224,7 @@ TEST(MortonIndexTest, PrefixCountsMatchExactBoxCounts2D) {
   // Check a concrete depth-2 cell: first split x (bit 1 of prefix level 1),
   // then y.  Bit order is level-major, dim-minor: bits = (x1, y1, x2, y2).
   // Prefix 0b1010 (x1=1, y1=0, x2=1, y2=0) = x ∈ [0.75,1.0), y ∈ [0,0.25).
-  const std::size_t morton = index.CountPrefix(0b1010, 4);
+  const std::size_t morton = CountPrefix(index, 0b1010, 4);
   const std::size_t exact =
       points.ExactRangeCount(Box({0.75, 0.0}, {1.0, 0.25}));
   EXPECT_EQ(morton, exact);
@@ -227,7 +236,7 @@ TEST(MortonIndexTest, PrefixCountsMatchExactBoxCounts4D) {
   const MortonIndex index(points, Box::UnitCube(4));
   // Depth-1 cell (4 bits): lower half in dims 0 and 2, upper in 1 and 3.
   // Bit order: (d0, d1, d2, d3) → prefix 0b0101.
-  const std::size_t morton = index.CountPrefix(0b0101, 4);
+  const std::size_t morton = CountPrefix(index, 0b0101, 4);
   const std::size_t exact = points.ExactRangeCount(
       Box({0.0, 0.5, 0.0, 0.5}, {0.5, 1.0, 0.5, 1.0}));
   EXPECT_EQ(morton, exact);
@@ -240,10 +249,10 @@ TEST(MortonIndexTest, ChildrenPartitionParent) {
   // For a few random prefixes, the two one-bit extensions partition.
   for (int bits = 0; bits <= 20; bits += 4) {
     const MortonKey prefix = 0b1001 & ((MortonKey{1} << bits) - 1);
-    const std::size_t parent = index.CountPrefix(prefix, bits);
-    const std::size_t left = index.CountPrefix(prefix << 1, bits + 1);
+    const std::size_t parent = CountPrefix(index, prefix, bits);
+    const std::size_t left = CountPrefix(index, prefix << 1, bits + 1);
     const std::size_t right =
-        index.CountPrefix((prefix << 1) | 1, bits + 1);
+        CountPrefix(index, (prefix << 1) | 1, bits + 1);
     EXPECT_EQ(parent, left + right) << "bits=" << bits;
   }
 }
@@ -255,10 +264,10 @@ TEST(MortonIndexTest, PointsOutsideRootAreClamped) {
   points.Add(out_low);
   points.Add(out_high);
   const MortonIndex index(points, Box::UnitCube(2));
-  EXPECT_EQ(index.CountPrefix(0, 0), 2u);
+  EXPECT_EQ(CountPrefix(index, 0, 0), 2u);
   // Clamped to the corners: prefix 00 (lower-left) and 11 (upper-right).
-  EXPECT_EQ(index.CountPrefix(0b00, 2), 1u);
-  EXPECT_EQ(index.CountPrefix(0b11, 2), 1u);
+  EXPECT_EQ(CountPrefix(index, 0b00, 2), 1u);
+  EXPECT_EQ(CountPrefix(index, 0b11, 2), 1u);
 }
 
 TEST(MortonIndexTest, NonUnitRootBoxCountsMatchGeometry) {
@@ -275,7 +284,7 @@ TEST(MortonIndexTest, NonUnitRootBoxCountsMatchGeometry) {
   // Depth-2 cell: x-upper then y-lower halves → prefix 0b10 over the
   // first split of x, then y.  Verify against the geometric box
   // [10, 30) x [5, 5.5).
-  const std::size_t morton = index.CountPrefix(0b10, 2);
+  const std::size_t morton = CountPrefix(index, 0b10, 2);
   const std::size_t exact =
       points.ExactRangeCount(Box({10.0, 5.0}, {30.0, 5.5}));
   EXPECT_EQ(morton, exact);
@@ -302,7 +311,7 @@ TEST(MortonIndexTest, DeepPrefixOfTightClusterKeepsCount) {
   const MortonKey key = index.KeyOf(p);
   for (int bits = 0; bits <= index.max_prefix_bits(); bits += 6) {
     const MortonKey prefix = key >> (index.max_prefix_bits() - bits);
-    EXPECT_EQ(index.CountPrefix(prefix, bits), 1000u) << bits;
+    EXPECT_EQ(CountPrefix(index, prefix, bits), 1000u) << bits;
   }
 }
 

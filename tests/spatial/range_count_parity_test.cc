@@ -1,7 +1,7 @@
 // Parity of the range-carrying spatial builders with a test-local copy of
 // the policy they replaced, which scored every cell — and counted every
 // leaf — with two binary searches over the whole sorted key array
-// (MortonIndex::CountPrefix).  Trees, released counts and stats must agree
+// (CountPrefix below).  Trees, released counts and stats must agree
 // bit for bit for 1-d to 4-d points, every dims_per_split from 1 to d,
 // both depth caps, several ε and seeds.
 #include <gtest/gtest.h>
@@ -26,6 +26,16 @@
 
 namespace privtree {
 namespace {
+/// Points whose key starts with the low `bits` bits of `prefix` (bits == 0
+/// counts every point): the two whole-array binary searches the
+/// range-carrying builders replaced.
+std::size_t CountPrefix(const MortonIndex& index, MortonKey prefix,
+                        int bits) {
+  if (bits == 0) return index.size();
+  return index.LowerBound(prefix + 1, bits, 0, index.size()) -
+         index.LowerBound(prefix, bits, 0, index.size());
+}
+
 namespace legacy {
 
 /// The replaced QuadtreePolicy: cells carry no key range.
@@ -67,7 +77,7 @@ class QuadtreePolicy {
   }
 
   double Score(const Domain& cell) const {
-    return static_cast<double>(index_.CountPrefix(cell.prefix, cell.bits));
+    return static_cast<double>(CountPrefix(index_, cell.prefix, cell.bits));
   }
 
   int fanout() const { return 1 << dims_per_split_; }
@@ -96,7 +106,7 @@ void CountLeaves(const MortonIndex& index, double scale, Rng& rng,
   for (NodeId leaf : hist->tree.LeafIds()) {
     const auto& cell = hist->tree.node(leaf).domain;
     hist->count[leaf] =
-        static_cast<double>(index.CountPrefix(cell.prefix, cell.bits)) +
+        static_cast<double>(CountPrefix(index, cell.prefix, cell.bits)) +
         SampleLaplace(rng, scale);
   }
   AggregateLeafCounts(hist->tree, &hist->count);
@@ -192,7 +202,7 @@ void ExpectSameHistogram(const SpatialHistogram& want,
     ASSERT_EQ(a.parent, b.parent) << "node " << id;
     ASSERT_EQ(a.children, b.children) << "node " << id;
     ASSERT_EQ(b.domain.count(),
-              index.CountPrefix(b.domain.prefix, b.domain.bits))
+              CountPrefix(index, b.domain.prefix, b.domain.bits))
         << "node " << id;
   }
   ASSERT_EQ(want.count, got.count);
