@@ -122,8 +122,8 @@ void SetQueriesProcessed(benchmark::State& state) {
       static_cast<std::int64_t>(KernelData().queries.size()));
 }
 
-// Arg: 0 the generic-dimension reference (QueryBatchReference), 1 the flat
-// scalar kernel, 2 the SIMD kernel GridHistogram::QueryBatch serves with.
+// Arg: 1 the flat scalar kernel, 2 the SIMD kernel GridHistogram::QueryBatch
+// serves with.
 void BM_GridQueryBatch2D(benchmark::State& state) {
   const KernelCase& data = KernelData();
   GridHistogram grid =
@@ -134,9 +134,7 @@ void BM_GridQueryBatch2D(benchmark::State& state) {
   const Grid2DView view = grid.KernelView2D();
   std::vector<double> answers(data.queries.size());
   for (auto _ : state) {
-    if (state.range(0) == 0) {
-      answers = grid.QueryBatchReference(data.queries);
-    } else if (state.range(0) == 1) {
+    if (state.range(0) == 1) {
       GridQueryBatch2DScalar(view, data.queries, answers.data());
     } else {
       GridQueryBatch2DSimd(view, data.queries, answers.data());
@@ -146,23 +144,21 @@ void BM_GridQueryBatch2D(benchmark::State& state) {
   }
   SetQueriesProcessed(state);
 }
-BENCHMARK(BM_GridQueryBatch2D)->ArgName("path")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_GridQueryBatch2D)->ArgName("path")->Arg(1)->Arg(2);
 
-// Arg: 0 the parity oracle (summed-area interior plus per-sub-grid Query
-// on the boundary), 1 the kernel path AdaptiveGrid::QueryBatch serves with.
+// Arg: 1 the kernel path AdaptiveGrid::QueryBatch serves with (the row
+// keeps its name from when path 0 timed the parity oracle).
 void BM_AgQueryBatch(benchmark::State& state) {
   const KernelCase& data = KernelData();
   Rng fit_rng(0xA6);
   const AdaptiveGrid grid(data.points, Box::UnitCube(2), 1.0, {}, fit_rng);
   for (auto _ : state) {
-    const std::vector<double> answers =
-        state.range(0) == 0 ? grid.QueryBatchReference(data.queries)
-                            : grid.QueryBatch(data.queries);
+    const std::vector<double> answers = grid.QueryBatch(data.queries);
     benchmark::DoNotOptimize(answers.data());
   }
   SetQueriesProcessed(state);
 }
-BENCHMARK(BM_AgQueryBatch)->ArgName("path")->Arg(0)->Arg(1);
+BENCHMARK(BM_AgQueryBatch)->ArgName("path")->Arg(1);
 
 // The structure-of-arrays tree sweep a fitted PrivTree histogram serves
 // its batches with.

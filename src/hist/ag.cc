@@ -200,39 +200,6 @@ std::vector<double> AdaptiveGrid::QueryBatch(
   return answers;
 }
 
-std::vector<double> AdaptiveGrid::QueryBatchReference(
-    std::span<const Box> queries) const {
-  std::vector<double> answers;
-  answers.reserve(queries.size());
-  for (const Box& q : queries) {
-    PRIVTREE_CHECK_EQ(q.dim(), 2u);
-    std::int64_t lo_cell[2], hi_cell[2];
-    if (!OverlappedCells(domain_, m1_, q, lo_cell, hi_cell)) {
-      answers.push_back(0.0);
-      continue;
-    }
-    double ans = cell_total_sat_.RectSum(lo_cell[0] + 1, lo_cell[1] + 1,
-                                         hi_cell[0], hi_cell[1]);
-    const auto visit = [&](std::int64_t cx, std::int64_t cy) {
-      const GridHistogram& sub =
-          level2_[static_cast<std::size_t>(cx * m1_ + cy)];
-      if (q.Intersects(sub.domain())) ans += sub.Query(q);
-    };
-    for (std::int64_t cx = lo_cell[0]; cx <= hi_cell[0]; ++cx) {
-      if (cx == lo_cell[0] || cx == hi_cell[0]) {
-        for (std::int64_t cy = lo_cell[1]; cy <= hi_cell[1]; ++cy) {
-          visit(cx, cy);
-        }
-      } else {
-        visit(cx, lo_cell[1]);
-        if (hi_cell[1] != lo_cell[1]) visit(cx, hi_cell[1]);
-      }
-    }
-    answers.push_back(ans);
-  }
-  return answers;
-}
-
 std::size_t AdaptiveGrid::TotalCells() const {
   std::size_t total = level1_count_.size();
   for (const GridHistogram& sub : level2_) total += sub.total_cells();

@@ -58,13 +58,10 @@ class AdaptiveGrid {
   /// O(perimeter) boundary cells fall back to per-sub-grid evaluation,
   /// which runs on precomputed flat kernel views (hist/grid_kernels.h)
   /// instead of re-entering GridHistogram::Query.  Answers agree with
-  /// Query up to floating-point summation order and are bit-for-bit equal
-  /// to QueryBatchReference.
+  /// Query up to floating-point summation order, and bit for bit with the
+  /// SAT interior plus GridHistogram::Query on the boundary cells (the
+  /// parity oracle in tests/release/kernel_parity_test.cc).
   std::vector<double> QueryBatch(std::span<const Box> queries) const;
-
-  /// The pre-kernel batch path (SAT interior + GridHistogram::Query on the
-  /// boundary cells), kept as the parity oracle for QueryBatch.
-  std::vector<double> QueryBatchReference(std::span<const Box> queries) const;
 
   /// Level-1 granularity per dimension.
   std::int64_t level1_granularity() const { return m1_; }

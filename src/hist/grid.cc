@@ -202,19 +202,6 @@ std::vector<double> GridHistogram::QueryBatch(
   return answers;
 }
 
-std::vector<double> GridHistogram::QueryBatchReference(
-    std::span<const Box> queries) const {
-  PRIVTREE_CHECK(prefix_valid_);
-  PRIVTREE_CHECK_LE(dim(), 8u);
-  std::vector<double> answers;
-  answers.reserve(queries.size());
-  for (const Box& q : queries) {
-    PRIVTREE_CHECK_EQ(q.dim(), dim());
-    answers.push_back(QueryImpl(q));
-  }
-  return answers;
-}
-
 Grid2DView GridHistogram::KernelView2D() const {
   PRIVTREE_CHECK(prefix_valid_);
   PRIVTREE_CHECK_EQ(dim(), 2u);

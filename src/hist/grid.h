@@ -65,10 +65,6 @@ class GridHistogram {
   /// grids this runs the vectorized kernel (hist/grid_kernels.h).
   std::vector<double> QueryBatch(std::span<const Box> queries) const;
 
-  /// The original generic-dimension batch path, kept as the parity oracle
-  /// for the specialized kernels (tests compare the two bit-for-bit).
-  std::vector<double> QueryBatchReference(std::span<const Box> queries) const;
-
   /// Flat kernel view of a 2-d grid (requires dim() == 2 and a valid prefix
   /// lattice); valid while this histogram is alive and unmodified.
   Grid2DView KernelView2D() const;

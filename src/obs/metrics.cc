@@ -96,22 +96,6 @@ std::vector<std::string> Registry::CounterNames() const {
   return names;
 }
 
-std::vector<std::string> Registry::GaugeNames() const {
-  MutexLock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(gauges_.size());
-  for (const auto& [name, unused] : gauges_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> Registry::HistogramNames() const {
-  MutexLock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [name, unused] : histograms_) names.push_back(name);
-  return names;
-}
-
 void Registry::Reset() {
   MutexLock lock(mu_);
   for (auto& [unused, counter] : counters_) counter->Reset();

@@ -168,10 +168,8 @@ class Registry {
   Gauge& GetGauge(std::string_view name);
   Histogram& GetHistogram(std::string_view name);
 
-  /// Sorted metric names currently registered, for export.
+  /// Sorted counter names currently registered.
   std::vector<std::string> CounterNames() const;
-  std::vector<std::string> GaugeNames() const;
-  std::vector<std::string> HistogramNames() const;
 
   /// Zeroes every metric value.  Handles stay valid (benches reset between
   /// phases; tests reset between cases).
@@ -236,8 +234,6 @@ class Registry {
   Gauge& GetGauge(std::string_view) { return gauge_; }
   Histogram& GetHistogram(std::string_view) { return histogram_; }
   std::vector<std::string> CounterNames() const { return {}; }
-  std::vector<std::string> GaugeNames() const { return {}; }
-  std::vector<std::string> HistogramNames() const { return {}; }
   void Reset() {}
   std::string ToJson() const {
     return "{\"counters\":{},\"gauges\":{},\"histograms\":{}}";

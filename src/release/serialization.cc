@@ -26,6 +26,10 @@ namespace {
 
 constexpr std::string_view kV1Magic = "privtree-histogram v1";
 
+/// The previous raw-payload format: still loaded (spill dirs written before
+/// the compressed envelopes landed keep warm-restarting), never written.
+constexpr std::uint32_t kSynopsisFormatVersionV2 = 2;
+
 /// v2 header: magic (8) + version (4) + body size (8) + body checksum (8).
 constexpr std::size_t kHeaderBytesV2 = 28;
 /// v3 appends a u64 header checksum over the first 28 bytes.
@@ -59,13 +63,7 @@ Status ValidateOptionsText(const MethodRegistry& registry,
 }  // namespace
 
 Status WriteSynopsis(std::ostream& out, const MethodMetadata& metadata,
-                     std::string_view options_text, std::string_view payload,
-                     std::uint32_t version) {
-  if (version != kSynopsisFormatVersion &&
-      version != kSynopsisFormatVersionV2) {
-    return Status::InvalidArgument("synopsis: unwritable format version " +
-                                   std::to_string(version));
-  }
+                     std::string_view options_text, std::string_view payload) {
   std::string body;
   ByteWriter w(&body);
   w.Str(metadata.method);
@@ -79,12 +77,10 @@ Status WriteSynopsis(std::ostream& out, const MethodMetadata& metadata,
   std::string header;
   ByteWriter h(&header);
   header.append(kSynopsisMagic.data(), kSynopsisMagic.size());
-  h.U32(version);
+  h.U32(kSynopsisFormatVersion);
   h.U64(body.size());
   h.U64(ByteChecksum(body));
-  if (version >= kSynopsisFormatVersion) {
-    h.U64(ByteChecksum(header));  // Header checksum over bytes [0, 28).
-  }
+  h.U64(ByteChecksum(header));  // Header checksum over bytes [0, 28).
 
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
   out.write(body.data(), static_cast<std::streamsize>(body.size()));

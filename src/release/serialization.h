@@ -100,18 +100,13 @@ namespace privtree::release {
 
 inline constexpr std::string_view kSynopsisMagic = "PRIVTSYN";
 inline constexpr std::uint32_t kSynopsisFormatVersion = 3;
-/// The previous raw-payload format, still loadable (spill dirs written
-/// before the compressed envelopes landed keep warm-restarting).
-inline constexpr std::uint32_t kSynopsisFormatVersionV2 = 2;
 
-/// Writes the envelope header + body for a fitted method; backends call
-/// this from their Save overrides with the payload they encoded.  `version`
-/// selects the header layout and must match the payload encoding the
-/// caller produced — production writers always use the default; tests use
-/// kSynopsisFormatVersionV2 to pin the legacy format.
+/// Writes the v3 envelope header + body for a fitted method; backends call
+/// this from their Save overrides with the v3 payload they encoded.  Older
+/// versions are read, never written (tests/golden holds frozen v1/v2
+/// files).
 Status WriteSynopsis(std::ostream& out, const MethodMetadata& metadata,
-                     std::string_view options_text, std::string_view payload,
-                     std::uint32_t version = kSynopsisFormatVersion);
+                     std::string_view options_text, std::string_view payload);
 
 /// Reads one serialized synopsis from `in` (the whole remaining stream) and
 /// reconstructs the fitted method through `registry`'s loader for the

@@ -1,46 +1,10 @@
 #include "seq/pst_serialization.h"
 
-#include <fstream>
 #include <istream>
 #include <string>
 #include <vector>
 
 namespace privtree {
-
-Status SavePstModel(const std::string& path, const PstModel& model) {
-  if (model.size() == 0) {
-    return Status::InvalidArgument("cannot save an empty model");
-  }
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out.precision(17);
-  out << "privtree-pst v1\n";
-  out << "alphabet " << model.alphabet_size() << "\n";
-  out << "nodes " << model.size() << "\n";
-  // Parent of each node (kInvalidNode for the root), recovered from the
-  // children lists.
-  std::vector<NodeId> parent(model.size(), kInvalidNode);
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    for (NodeId child : model.node(static_cast<NodeId>(i)).children) {
-      parent[static_cast<std::size_t>(child)] = static_cast<NodeId>(i);
-    }
-  }
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    out << parent[i];
-    for (double h : model.node(static_cast<NodeId>(i)).hist) {
-      out << ' ' << h;
-    }
-    out << '\n';
-  }
-  if (!out) return Status::IOError("write failure on " + path);
-  return Status::OK();
-}
-
-Result<PstModel> LoadPstModel(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  return LoadPstModelStream(in, path);
-}
 
 Result<PstModel> LoadPstModelStream(std::istream& in,
                                     const std::string& path) {

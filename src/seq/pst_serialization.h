@@ -1,5 +1,7 @@
-// Serialization of released PST models (post-processing of the private
-// output, like spatial/serialization.h).  Format:
+// The legacy text format of released PST models (post-processing of the
+// private output, like spatial/serialization.h).  It is read, never
+// written: release::LoadMethod loads v1 files through LoadPstModelStream,
+// and tests/golden/pst_privtree.v1.txt pins the format.  Format:
 //
 //   privtree-pst v1
 //   alphabet <A>
@@ -28,13 +30,7 @@ namespace privtree {
 /// method (with unknown, i.e. zero, ε).
 inline constexpr std::string_view kPstV1Magic = "privtree-pst v1";
 
-/// Writes the model to `path`.
-Status SavePstModel(const std::string& path, const PstModel& model);
-
-/// Reads a model written by SavePstModel.
-Result<PstModel> LoadPstModel(const std::string& path);
-
-/// As LoadPstModel, from an already-open stream (`name` labels errors).
+/// Parses a v1 model from an open stream (`name` labels errors).
 Result<PstModel> LoadPstModelStream(std::istream& in,
                                     const std::string& name);
 

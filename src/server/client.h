@@ -86,7 +86,6 @@ class Client {
   /// tenant with this fingerprint (see info().datasets); 0 restores the
   /// server default.  An unknown fingerprint answers NotFound per call.
   void SelectDataset(std::uint64_t fingerprint) { dataset_ = fingerprint; }
-  std::uint64_t selected_dataset() const { return dataset_; }
 
   /// Uploads a dataset for this server to host (protocol v3) and returns
   /// its fingerprint; registration is idempotent by content.  Does not

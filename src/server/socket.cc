@@ -42,7 +42,8 @@ Status WriteAll(int fd, const char* data, std::size_t size) {
   return Status::OK();
 }
 
-/// Applies SO_RCVTIMEO / SO_SNDTIMEO (`millis` 0 clears the bound).
+/// Applies a socket timeout option such as SO_RCVTIMEO (`millis` 0 clears
+/// the bound).
 Status SetFdTimeout(int fd, int option, std::int64_t millis) {
   if (fd < 0) return Status::IOError("socket is closed");
   timeval tv{};
@@ -178,10 +179,6 @@ Result<Connection> Connection::Dial(const std::string& host,
 
 Status Connection::SetRecvTimeout(std::int64_t millis) {
   return SetFdTimeout(fd_, SO_RCVTIMEO, millis);
-}
-
-Status Connection::SetSendTimeout(std::int64_t millis) {
-  return SetFdTimeout(fd_, SO_SNDTIMEO, millis);
 }
 
 Status Connection::SendFrame(std::string_view payload) {

@@ -44,8 +44,6 @@ class Connection {
   /// Bounds every subsequent blocking read (SO_RCVTIMEO); a read that
   /// exceeds it fails with DeadlineExceeded.  0 removes the bound.
   Status SetRecvTimeout(std::int64_t millis);
-  /// Send-side counterpart (SO_SNDTIMEO).
-  Status SetSendTimeout(std::int64_t millis);
 
   /// Writes one length-prefixed frame; the payload must fit the protocol's
   /// kMaxFramePayload cap.

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -10,30 +9,6 @@
 #include "core/codec.h"
 
 namespace privtree {
-
-Status SaveSpatialHistogram(const std::string& path,
-                            const SpatialHistogram& hist) {
-  if (hist.tree.empty()) {
-    return Status::InvalidArgument("cannot save an empty histogram");
-  }
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out.precision(17);
-  const std::size_t dim = hist.tree.node(0).domain.box.dim();
-  out << "privtree-histogram v1\n";
-  out << "dim " << dim << "\n";
-  out << "nodes " << hist.tree.size() << "\n";
-  for (std::size_t i = 0; i < hist.tree.size(); ++i) {
-    const auto& node = hist.tree.node(static_cast<NodeId>(i));
-    out << node.parent << ' ' << hist.count[i];
-    for (std::size_t j = 0; j < dim; ++j) {
-      out << ' ' << node.domain.box.lo(j) << ' ' << node.domain.box.hi(j);
-    }
-    out << '\n';
-  }
-  if (!out) return Status::IOError("write failure on " + path);
-  return Status::OK();
-}
 
 Result<SpatialHistogram> LoadSpatialHistogramText(std::istream& in,
                                                   const std::string& name) {
@@ -85,12 +60,6 @@ Result<SpatialHistogram> LoadSpatialHistogramText(std::istream& in,
   return hist;
 }
 
-Result<SpatialHistogram> LoadSpatialHistogram(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  return LoadSpatialHistogramText(in, path);
-}
-
 void WriteBox(ByteWriter& out, const Box& box) {
   for (std::size_t j = 0; j < box.dim(); ++j) {
     out.F64(box.lo(j));
@@ -105,7 +74,12 @@ bool ReadBox(ByteReader& in, std::size_t dim, Box* out, std::string* error) {
       *error = "truncated box";
       return false;
     }
-    if (!(lo[j] <= hi[j])) {  // Also rejects NaN bounds.
+    // Box's constructor aborts on these; a crafted file must get a Status.
+    if (!std::isfinite(lo[j]) || !std::isfinite(hi[j])) {
+      *error = "non-finite box bound";
+      return false;
+    }
+    if (!(lo[j] <= hi[j])) {
       *error = "box with lo > hi";
       return false;
     }
@@ -116,20 +90,8 @@ bool ReadBox(ByteReader& in, std::size_t dim, Box* out, std::string* error) {
 
 namespace {
 
-/// Shared body codec over the two tree flavors; `make_domain` converts a
-/// Box into the node's Domain and `box_of` extracts it back.
-template <typename Domain, typename BoxOf>
-void WriteTreeBodyImpl(ByteWriter& out, const DecompTree<Domain>& tree,
-                       const std::vector<double>& counts, BoxOf box_of) {
-  out.U64(tree.size());
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    const auto& node = tree.node(static_cast<NodeId>(i));
-    out.I32(node.parent);
-    out.F64(counts[i]);
-    WriteBox(out, box_of(node.domain));
-  }
-}
-
+/// The raw v2 tree body, read-only: v2 files load forever, nothing writes
+/// them.  `make_domain` converts a Box into the node's Domain.
 template <typename Domain, typename MakeDomain>
 Status ReadTreeBodyImpl(ByteReader& in, std::size_t dim,
                         DecompTree<Domain>* tree, std::vector<double>* counts,
@@ -345,11 +307,6 @@ Status ReadTreeBodyCompressedImpl(ByteReader& in, std::size_t dim,
   if (!ReadBox(in, dim, &root_box, &box_error)) {
     return Status::InvalidArgument("tree body: root box: " + box_error);
   }
-  for (std::size_t j = 0; j < dim; ++j) {
-    if (!std::isfinite(root_box.lo(j)) || !std::isfinite(root_box.hi(j))) {
-      return Status::InvalidArgument("tree body: non-finite root bound");
-    }
-  }
 
   std::string codes;
   if (!in.Str(&codes)) {
@@ -430,12 +387,6 @@ Status ReadTreeBodyCompressedImpl(ByteReader& in, std::size_t dim,
 
 }  // namespace
 
-void WriteSpatialTreeBody(ByteWriter& out, const DecompTree<SpatialCell>& tree,
-                          const std::vector<double>& counts) {
-  WriteTreeBodyImpl(out, tree, counts,
-                    [](const SpatialCell& c) -> const Box& { return c.box; });
-}
-
 Status ReadSpatialTreeBody(ByteReader& in, std::size_t dim,
                            DecompTree<SpatialCell>* tree,
                            std::vector<double>* counts) {
@@ -444,12 +395,6 @@ Status ReadSpatialTreeBody(ByteReader& in, std::size_t dim,
     cell.box = std::move(box);
     return cell;
   });
-}
-
-void WriteBoxTreeBody(ByteWriter& out, const DecompTree<Box>& tree,
-                      const std::vector<double>& counts) {
-  WriteTreeBodyImpl(out, tree, counts,
-                    [](const Box& b) -> const Box& { return b; });
 }
 
 Status ReadBoxTreeBody(ByteReader& in, std::size_t dim, DecompTree<Box>* tree,

@@ -1,10 +1,10 @@
 // Serialization of released spatial synopses.
 //
 // A SpatialHistogram is the *output* of the privacy mechanism; persisting
-// and re-loading it is pure post-processing.  Two formats live here:
+// and re-loading it is pure post-processing.  Three formats live here; only
+// the v3 body is still written:
 //
-//  * The legacy v1 text format (SaveSpatialHistogram / LoadSpatialHistogram),
-//    line-oriented and versioned:
+//  * The legacy v1 text format, line-oriented and versioned (read-only):
 //
 //      privtree-histogram v1
 //      dim <d>
@@ -14,11 +14,12 @@
 //
 //    v1 files keep loading forever: release::LoadMethod recognizes the v1
 //    magic line and routes through LoadSpatialHistogramText (the compat
-//    shim), and the format is pinned by a regression test.
+//    shim); tests/golden/privtree.v1.txt pins the format.
 //
-//  * The binary node-array body used inside the v2 synopsis envelope (see
-//    release/serialization.h for the envelope spec).  The body is shared by
-//    every tree-backed backend:
+//  * The binary node-array body of the v2 synopsis envelope (see
+//    release/serialization.h for the envelope spec; read-only, pinned by
+//    the v2 files in tests/golden).  The body is shared by every
+//    tree-backed backend:
 //
 //      u64 node_count
 //      per node, in id order:
@@ -26,7 +27,9 @@
 //        f64 released count
 //        f64 lo_j, f64 hi_j  for j = 0..dim-1
 //
-// Morton metadata is intentionally not persisted in either format: a loaded
+//  * The compressed v3 tree body, documented below.
+//
+// Morton metadata is intentionally not persisted in any format: a loaded
 // synopsis can answer queries but is decoupled from the (sensitive) source
 // data.
 #ifndef PRIVTREE_SPATIAL_SERIALIZATION_H_
@@ -43,16 +46,8 @@
 
 namespace privtree {
 
-/// Writes the synopsis to `path` in the legacy v1 text format.
-Status SaveSpatialHistogram(const std::string& path,
-                            const SpatialHistogram& hist);
-
-/// Reads a synopsis written by SaveSpatialHistogram.
-Result<SpatialHistogram> LoadSpatialHistogram(const std::string& path);
-
-/// Parses the v1 text format from an open stream; `name` labels errors
-/// (a path or "<v1 synopsis>").  LoadSpatialHistogram and the envelope
-/// compat shim share this parser.
+/// Parses the legacy v1 text format from an open stream; `name` labels
+/// errors (e.g. "<v1 synopsis>").  The envelope compat shim calls it.
 Result<SpatialHistogram> LoadSpatialHistogramText(std::istream& in,
                                                   const std::string& name);
 
@@ -61,19 +56,16 @@ Result<SpatialHistogram> LoadSpatialHistogramText(std::istream& in,
 void WriteBox(ByteWriter& out, const Box& box);
 
 /// Reads a `dim`-dimensional box; returns false (with `*error` set) on
-/// truncation or bounds with !(lo <= hi) — NaNs fail that check too.
+/// truncation, a non-finite bound or lo > hi.
 bool ReadBox(ByteReader& in, std::size_t dim, Box* out, std::string* error);
 
-/// Binary node-array body of a spatial decomposition tree (v2 payload).
-void WriteSpatialTreeBody(ByteWriter& out, const DecompTree<SpatialCell>& tree,
-                          const std::vector<double>& counts);
+/// Reads the binary node-array body of a spatial decomposition tree (the
+/// v2 payload).
 Status ReadSpatialTreeBody(ByteReader& in, std::size_t dim,
                            DecompTree<SpatialCell>* tree,
                            std::vector<double>* counts);
 
 /// Same body layout for plain-box trees (the k-d-tree backend).
-void WriteBoxTreeBody(ByteWriter& out, const DecompTree<Box>& tree,
-                      const std::vector<double>& counts);
 Status ReadBoxTreeBody(ByteReader& in, std::size_t dim, DecompTree<Box>* tree,
                        std::vector<double>* counts);
 

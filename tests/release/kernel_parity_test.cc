@@ -8,6 +8,8 @@
 // indistinguishable from the originals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -20,6 +22,7 @@
 #include "hist/grid.h"
 #include "hist/grid_kernels.h"
 #include "hist/kdtree.h"
+#include "hist/sat.h"
 #include "release/tree_batch.h"
 #include "serve/thread_pool.h"
 #include "spatial/box.h"
@@ -99,6 +102,150 @@ std::vector<double> BatchQueryTree(const DecompTree<Domain>& tree,
   return answers;
 }
 
+/// GridHistogram's generic d-dimensional query path, kept here as the
+/// parity oracle of the 2-d kernels: the prefix-sum lattice rebuilt from
+/// counts(), the multilinear CDF over it, and inclusion–exclusion over the
+/// 2^d corners of the clipped box — the same arithmetic in the same order.
+std::vector<double> GridReference(const GridHistogram& grid,
+                                  std::span<const Box> queries) {
+  const std::size_t d = grid.dim();
+  const Box& domain = grid.domain();
+  const std::vector<std::int64_t>& cells = grid.cells_per_dim();
+  std::vector<std::size_t> extent(d), stride(d, 1);
+  for (std::size_t j = 0; j < d; ++j) {
+    extent[j] = static_cast<std::size_t>(cells[j]) + 1;
+  }
+  for (std::size_t j = d - 1; j > 0; --j) stride[j - 1] = stride[j] * extent[j];
+  std::vector<double> prefix(stride[0] * extent[0], 0.0);
+  std::vector<std::int64_t> cell(d, 0);
+  for (const double count : grid.counts()) {
+    std::size_t index = 0;
+    for (std::size_t j = 0; j < d; ++j) {
+      index += (static_cast<std::size_t>(cell[j]) + 1) * stride[j];
+    }
+    prefix[index] = count;
+    for (std::size_t j = d; j-- > 0;) {  // Row-major, last dim fastest.
+      if (++cell[j] < cells[j]) break;
+      cell[j] = 0;
+    }
+  }
+  for (std::size_t j = 0; j < d; ++j) {
+    for (std::size_t base = 0; base < prefix.size(); ++base) {
+      if ((base / stride[j]) % extent[j] != 0) continue;
+      double running = 0.0;
+      for (std::size_t t = 0; t < extent[j]; ++t) {
+        running += prefix[base + t * stride[j]];
+        prefix[base + t * stride[j]] = running;
+      }
+    }
+  }
+  const auto cdf = [&](const double* x) {
+    std::size_t base_cell[8];
+    double frac[8];
+    for (std::size_t j = 0; j < d; ++j) {
+      const double m = static_cast<double>(cells[j]);
+      double t = (x[j] - domain.lo(j)) / domain.Width(j) * m;
+      t = std::clamp(t, 0.0, m);
+      double integral = std::floor(t);
+      if (integral >= m) integral = m - 1.0;
+      base_cell[j] = static_cast<std::size_t>(integral);
+      frac[j] = t - integral;
+    }
+    double value = 0.0;
+    for (std::size_t mask = 0; mask < (std::size_t{1} << d); ++mask) {
+      double weight = 1.0;
+      std::size_t index = 0;
+      for (std::size_t j = 0; j < d; ++j) {
+        const bool upper = (mask >> j) & 1u;
+        weight *= upper ? frac[j] : (1.0 - frac[j]);
+        index += (base_cell[j] + (upper ? 1 : 0)) * stride[j];
+      }
+      if (weight != 0.0) value += weight * prefix[index];
+    }
+    return value;
+  };
+  std::vector<double> answers;
+  answers.reserve(queries.size());
+  for (const Box& q : queries) {
+    double lo[8], hi[8];
+    bool empty = false;
+    for (std::size_t j = 0; j < d; ++j) {
+      lo[j] = std::max(q.lo(j), domain.lo(j));
+      hi[j] = std::min(q.hi(j), domain.hi(j));
+      if (lo[j] >= hi[j]) empty = true;
+    }
+    double ans = 0.0;
+    for (std::size_t mask = 0; !empty && mask < (std::size_t{1} << d);
+         ++mask) {
+      double corner[8];
+      int ones = 0;
+      for (std::size_t j = 0; j < d; ++j) {
+        const bool upper = (mask >> j) & 1u;
+        corner[j] = upper ? hi[j] : lo[j];
+        ones += upper ? 1 : 0;
+      }
+      const double sign = ((d - ones) % 2 == 0) ? 1.0 : -1.0;
+      ans += sign * cdf(corner);
+    }
+    answers.push_back(ans);
+  }
+  return answers;
+}
+
+/// AdaptiveGrid's pre-kernel batch path, kept here as QueryBatch's parity
+/// oracle: a summed-area table of the sub-grid totals answers the level-1
+/// cells strictly inside the query, and GridHistogram::Query the boundary.
+std::vector<double> AgReference(const AdaptiveGrid& grid,
+                                std::span<const Box> queries) {
+  const std::int64_t m1 = grid.level1_granularity();
+  const Box& domain = grid.domain();
+  std::vector<double> totals;
+  for (const GridHistogram& sub : grid.level2()) totals.push_back(sub.Total());
+  const SummedAreaTable2D sat(totals, m1, m1);
+  std::vector<double> answers;
+  answers.reserve(queries.size());
+  for (const Box& q : queries) {
+    std::int64_t lo_cell[2], hi_cell[2];
+    bool overlaps = true;
+    for (std::size_t j = 0; j < 2; ++j) {
+      const double width = domain.Width(j) / static_cast<double>(m1);
+      const double rel_lo = (q.lo(j) - domain.lo(j)) / width;
+      const double rel_hi = (q.hi(j) - domain.lo(j)) / width;
+      lo_cell[j] = std::clamp<std::int64_t>(
+          static_cast<std::int64_t>(std::floor(rel_lo)), 0, m1 - 1);
+      hi_cell[j] = std::clamp<std::int64_t>(
+          static_cast<std::int64_t>(std::ceil(rel_hi)) - 1, 0, m1 - 1);
+      if (rel_hi <= 0.0 || rel_lo >= static_cast<double>(m1)) {
+        overlaps = false;
+        break;
+      }
+    }
+    if (!overlaps) {
+      answers.push_back(0.0);
+      continue;
+    }
+    double ans =
+        sat.RectSum(lo_cell[0] + 1, lo_cell[1] + 1, hi_cell[0], hi_cell[1]);
+    const auto visit = [&](std::int64_t cx, std::int64_t cy) {
+      const GridHistogram& sub =
+          grid.level2()[static_cast<std::size_t>(cx * m1 + cy)];
+      if (q.Intersects(sub.domain())) ans += sub.Query(q);
+    };
+    for (std::int64_t cx = lo_cell[0]; cx <= hi_cell[0]; ++cx) {
+      if (cx == lo_cell[0] || cx == hi_cell[0]) {
+        for (std::int64_t cy = lo_cell[1]; cy <= hi_cell[1]; ++cy) {
+          visit(cx, cy);
+        }
+      } else {
+        visit(cx, lo_cell[1]);
+        if (hi_cell[1] != lo_cell[1]) visit(cx, hi_cell[1]);
+      }
+    }
+    answers.push_back(ans);
+  }
+  return answers;
+}
+
 /// Random boxes plus the degenerate shapes the kernels must not special-case
 /// differently from the reference: empty intersections, zero-width slabs,
 /// exact domain covers, boxes straddling or outside the domain.
@@ -138,7 +285,7 @@ TEST(GridKernelParityTest, ScalarAndSimdMatchQueryAndReferenceBitwise) {
     const GridHistogram grid = NoisyGrid(m0, m1, seed++);
     const Grid2DView view = grid.KernelView2D();
 
-    const std::vector<double> reference = grid.QueryBatchReference(queries);
+    const std::vector<double> reference = GridReference(grid, queries);
     const std::vector<double> batch = grid.QueryBatch(queries);
     std::vector<double> scalar(queries.size()), simd(queries.size());
     GridQueryBatch2DScalar(view, queries, scalar.data());
@@ -168,7 +315,7 @@ TEST(GridKernelParityTest, NonTwoDimensionalGridsKeepTheGenericPath) {
   const std::vector<Box> queries =
       GenerateRangeQueries(Box::UnitCube(3), 120, kMediumQueries, rng);
   const std::vector<double> batch = grid.QueryBatch(queries);
-  const std::vector<double> reference = grid.QueryBatchReference(queries);
+  const std::vector<double> reference = GridReference(grid, queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(batch[i], grid.Query(queries[i])) << "query " << i;
     EXPECT_EQ(reference[i], batch[i]) << "query " << i;
@@ -234,7 +381,7 @@ TEST(AdaptiveGridParityTest, QueryBatchMatchesReferenceBitwise) {
   const AdaptiveGrid grid(points, Box::UnitCube(2), 1.0, {}, fit_rng);
   const std::vector<Box> queries = AdversarialQueries(300, 0xA62);
   const std::vector<double> got = grid.QueryBatch(queries);
-  const std::vector<double> want = grid.QueryBatchReference(queries);
+  const std::vector<double> want = AgReference(grid, queries);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(got[i], want[i]) << "query " << i;

@@ -312,49 +312,31 @@ TEST(SequenceMethodsTest, CraftedPayloadStructureIsRejected) {
 
 // Legacy `privtree-pst v1` text files load through release::LoadMethod as
 // a pst_privtree synopsis with unknown (zero) ε — the regression that pins
-// the compat shim.
+// the compat shim, on a file an old build wrote (tests/golden).
 TEST(SequenceMethodsTest, LegacyPstV1FilesLoadThroughTheShim) {
-  const SequenceDataset data = TestSequences(150);
-  Rng rng(0x1D);
-  PrivatePstOptions options;
-  options.l_top = kLTop;
-  const auto direct = BuildPrivatePst(data, 1.0, options, rng);
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "legacy_pst_v1.txt")
-          .string();
-  ASSERT_TRUE(SavePstModel(path, direct.model).ok());
-
-  auto loaded = LoadMethodFromFile(path);
+  const std::string golden = PRIVTREE_GOLDEN_DIR;
+  auto loaded = LoadMethodFromFile(golden + "/pst_privtree.v1.txt");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto twin = LoadMethodFromFile(golden + "/pst_privtree.v3.syn");
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
   const MethodMetadata metadata = loaded.value()->Metadata();
   EXPECT_EQ(metadata.method, "pst_privtree");
   EXPECT_EQ(metadata.dim, kAlphabet);
   EXPECT_EQ(metadata.epsilon_spent, 0.0);  // Unknown budget.
-  EXPECT_EQ(metadata.synopsis_size, direct.model.size());
+  EXPECT_EQ(metadata.synopsis_size, twin.value()->Metadata().synopsis_size);
 
   // The text format rounds through decimal, but 17 significant digits
-  // round-trip IEEE doubles exactly, so answers still match bit for bit.
-  for (const SequenceQuery& q : MixedQueries()) {
-    const std::vector<double> got =
-        loaded.value()->QueryBatch(std::span<const SequenceQuery>(&q, 1));
-    double want = 0.0;
-    switch (q.kind) {
-      case SequenceQueryKind::kFrequency:
-        want = direct.model.EstimateStringFrequency(q.symbols);
-        break;
-      case SequenceQueryKind::kPrefixCount:
-        want = direct.model.EstimatePrefixCount(q.symbols);
-        break;
-      case SequenceQueryKind::kTopK: {
-        const TopKStrings top = TopKFromModel(direct.model, q.k, q.max_len);
-        want = q.k <= top.counts.size() ? top.counts[q.k - 1] : 0.0;
-        break;
-      }
-    }
-    EXPECT_EQ(got[0], want);
+  // round-trip IEEE doubles exactly, so answers match the v3 twin bit for
+  // bit.
+  const std::vector<SequenceQuery> queries = MixedQueries();
+  const std::vector<double> got =
+      loaded.value()->QueryBatch(std::span<const SequenceQuery>(queries));
+  const std::vector<double> want =
+      twin.value()->QueryBatch(std::span<const SequenceQuery>(queries));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "query " << i;
   }
-  std::remove(path.c_str());
 }
 
 // Crafted v1 text files must fail with a clean Status through the shim —

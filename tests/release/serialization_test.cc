@@ -131,17 +131,13 @@ TEST(SynopsisSerializationTest, SaveBeforeFitIsRejected) {
 }
 
 TEST(SynopsisSerializationTest, V1TextFilesLoadThroughTheShim) {
-  const PointSet points = TestPoints(2000);
-  Rng rng(3);
-  const auto hist =
-      BuildPrivTreeHistogram(points, Box::UnitCube(2), 1.0, {}, rng);
-  const std::string path =
-      ::testing::TempDir() + "/privtree_v1_compat.txt";
-  ASSERT_TRUE(SaveSpatialHistogram(path, hist).ok());
-
-  auto loaded = LoadMethodFromFile(path);
-  std::remove(path.c_str());
+  // A v1 file an old build wrote (tests/golden), beside the v3 envelope of
+  // the same fit.
+  const std::string golden = PRIVTREE_GOLDEN_DIR;
+  auto loaded = LoadMethodFromFile(golden + "/privtree.v1.txt");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto twin = LoadMethodFromFile(golden + "/privtree.v3.syn");
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
 
   // v1 files record neither method name nor ε: they come back as a
   // "privtree" release with unknown (zero) spent budget...
@@ -149,14 +145,13 @@ TEST(SynopsisSerializationTest, V1TextFilesLoadThroughTheShim) {
   EXPECT_EQ(metadata.method, "privtree");
   EXPECT_EQ(metadata.dim, 2u);
   EXPECT_EQ(metadata.epsilon_spent, 0.0);
-  EXPECT_EQ(metadata.synopsis_size, hist.tree.size());
+  EXPECT_EQ(metadata.synopsis_size, twin.value()->Metadata().synopsis_size);
 
   // ...but answer queries exactly like the histogram they persisted.
   Rng query_rng(0xBEEF);
   for (const Box& q : GenerateRangeQueries(Box::UnitCube(2), 40,
                                            kMediumQueries, query_rng)) {
-    EXPECT_NEAR(loaded.value()->Query(q), hist.Query(q),
-                1e-9 * (1.0 + std::abs(hist.Query(q))));
+    EXPECT_EQ(loaded.value()->Query(q), twin.value()->Query(q));
   }
 }
 

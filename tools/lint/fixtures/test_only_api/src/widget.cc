@@ -1,0 +1,14 @@
+// Lint fixture for the test-only-api rule.  Never built.
+#include "widget.h"
+
+namespace privtree {
+
+Widget::Widget() = default;
+
+int Widget::OnlyTestsCallThis() const { return 1; }
+
+int Widget::Helper() const { return 2; }
+
+int UsedByProduction() { return Widget().Helper(); }
+
+}  // namespace privtree

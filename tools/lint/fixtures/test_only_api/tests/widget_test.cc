@@ -1,0 +1,6 @@
+// Lint fixture for the test-only-api rule.  Never built.
+#include "widget.h"
+
+int TestBoth() {
+  return privtree::UsedByProduction() + privtree::Widget().OnlyTestsCallThis();
+}

@@ -61,6 +61,16 @@ expect("bad_raw_mutex.cc", "raw-mutex", [12, 13, 17, 21])
 expect("bad_fault_point_name.cc", "fault-point-name", [11, 19])
 expect("bad_metric_name.cc", "metric-name", [9, 10, 11])
 
+# test-only-api runs over a whole tree: in the mini tree, the API only the
+# test and the bench call is flagged; the one an example calls, and the
+# helper its own .cc calls, are not.
+mini_tree = REPO_ROOT / "tools" / "lint" / "fixtures" / "test_only_api"
+got = [(f.path, f.line, f.message.split("(")[0])
+       for f in privtree_lint.check_test_only_api(mini_tree)]
+if got != [("src/widget.h", 14, "OnlyTestsCallThis")]:
+    failures.append(f"test_only_api: findings {got}, want exactly "
+                    "OnlyTestsCallThis at src/widget.h:14")
+
 # Negative control: the clean fixture must not trip anything.
 clean = lint("clean.cc")
 if clean:
@@ -78,4 +88,4 @@ if failures:
     for failure in failures:
         print("  " + failure, file=sys.stderr)
     sys.exit(1)
-print("lint_selftest: PASS (6 rule fixtures + clean control)")
+print("lint_selftest: PASS (7 rule fixtures + clean control)")

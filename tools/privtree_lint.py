@@ -36,6 +36,17 @@ Rules (each has a stable id used in findings and in fixture tests):
                      (tests may use names under the `test.` prefix).  Keeps
                      dashboards and the stats-file schema in sync with the
                      code.
+  test-only-api      A function or method name declared in a src/**/*.h that
+                     no file outside that header and its same-stem .cc
+                     mentions in src/, examples/ or servebench/ — an API
+                     whose only callers are tests or benches.  Matching is
+                     by bare name with comments stripped, so a common name
+                     can hide a dead API, but a name that is really used is
+                     never flagged.  Hooks that must stay (fault arming,
+                     counters only tests read) are listed, one reason each,
+                     in tools/lint/test_only_api_allowlist.txt; an entry
+                     that no longer matches a finding is itself reported.
+                     Whole-tree rule: runs only when no paths are given.
 
 Usage:
   privtree_lint.py [--repo-root DIR] [paths...]
@@ -67,6 +78,10 @@ FAULT_NAME_ALLOWLIST = {"src/core/fault.h", "src/core/fault.cc",
 
 FAULT_TABLE = "tools/lint/registered_fault_points.txt"
 METRIC_TABLE = "tools/lint/registered_metrics.txt"
+TEST_ONLY_API_ALLOWLIST = "tools/lint/test_only_api_allowlist.txt"
+
+# Where a reference keeps a src/ API alive; tests/ and bench/ do not count.
+PRODUCTION_DIRS = ("src", "examples", "servebench")
 
 JUSTIFY_TAG = "lint-ok: discarded-status"
 
@@ -314,6 +329,190 @@ def check_metric_names(rel: str, raw_text: str,
     return findings
 
 
+# --- rule: test-only-api ----------------------------------------------------
+
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+# A name directly followed by its parameter list, preceded by whitespace or
+# the tail of a return type (`*`, `&`, `>`, `::`).
+DECL_NAME_RE = re.compile(r"(?:^|(?<=[\s*&:>]))(~?[A-Za-z_]\w*)\s*\(")
+SCOPE_KEYWORD_RE = re.compile(r"\b(namespace|class|struct|union|enum)\b")
+NOT_A_DECL = {
+    "alignas", "alignof", "assert", "catch", "co_await", "co_return",
+    "decltype", "defined", "delete", "for", "if", "new", "noexcept",
+    "operator", "requires", "return", "sizeof", "static_assert", "switch",
+    "throw", "typeid", "void", "while",
+}
+
+
+def split_preprocessor(code: str) -> tuple[str, str]:
+    """Blanks preprocessor directives (with their continuation lines) out of
+    `code`; returns the blanked code and the directives' text."""
+    out, directives = [], []
+    continued = False
+    for line in code.split("\n"):
+        if continued or line.lstrip().startswith("#"):
+            continued = line.rstrip().endswith("\\")
+            out.append("")
+            directives.append(line)
+        else:
+            out.append(line)
+    return "\n".join(out), "\n".join(directives)
+
+
+def statement_decl(stmt: str, class_name: str | None) -> tuple[str, int] | None:
+    """The function name a namespace- or class-scope statement declares, and
+    its offset in `stmt`; None for data members, aliases, constructors,
+    destructors and operators."""
+    stmt = stmt.split("=", 1)[0]  # Initializers and default arguments.
+    for m in DECL_NAME_RE.finditer(stmt):
+        name = m.group(1)
+        if name in NOT_A_DECL or name.isupper():  # Keywords, macros.
+            continue
+        if name.startswith("~") or name == class_name:
+            return None
+        return name, m.start(1)
+    return None
+
+
+def scan_scopes(code: str) -> tuple[list[tuple[str, int]], set[str]]:
+    """Splits comment-stripped C++ into namespace/class-scope statements and
+    function (or initializer) bodies.  Returns (name, line) of each function
+    or method declared at scope level, and the identifiers the code uses —
+    in bodies, signatures, initializers and macros — as opposed to the
+    names it declares or defines."""
+    code, directives = split_preprocessor(code)
+    decls = []
+    # A macro body that names a function calls it.
+    body_idents: set[str] = set(IDENT_RE.findall(directives))
+    stack: list[tuple[str, str | None]] = []  # (scope | body, class name)
+    start = 0
+    body_start = 0
+
+    def record(end: int, definition: bool) -> None:
+        stmt = code[start:end]
+        class_name = stack[-1][1] if stack else None
+        found = statement_decl(stmt, class_name)
+        if found:
+            name, offset = found
+            decls.append((name, code.count("\n", 0, start + offset) + 1))
+        # A definition's signature (constructor initializer lists, default
+        # arguments) and a member's initializer can call functions too.
+        used = stmt if definition else stmt.partition("=")[2]
+        body_idents.update(n for n in IDENT_RE.findall(used)
+                           if not found or n != found[0])
+
+    for i, c in enumerate(code):
+        in_body = bool(stack) and stack[-1][0] == "body"
+        if c == "{":
+            if in_body:
+                stack.append(("body", None))
+                continue
+            stmt = code[start:i]
+            kind = SCOPE_KEYWORD_RE.search(stmt)
+            if kind and kind.group(1) == "namespace" or 'extern "C"' in stmt:
+                stack.append(("scope", None))
+            elif kind and kind.group(1) in ("class", "struct", "union") \
+                    and "(" not in stmt.split(kind.group(1), 1)[0]:
+                head = re.sub(r"\([^)]*\)", " ", stmt[kind.end():])
+                head = head.split(":", 1)[0]
+                names = [n for n in IDENT_RE.findall(head)
+                         if n != "final" and not n.isupper()]
+                stack.append(("scope", names[-1] if names else None))
+            else:  # A function body, a brace initializer or an enum.
+                if not (kind and kind.group(1) == "enum"):
+                    record(i, definition=True)
+                stack.append(("body", None))
+                body_start = i + 1
+            start = i + 1
+        elif c == "}":
+            if stack:
+                if stack[-1][0] == "body" and \
+                        (len(stack) == 1 or stack[-2][0] == "scope"):
+                    body_idents.update(IDENT_RE.findall(code[body_start:i]))
+                stack.pop()
+            start = i + 1
+        elif c == ";" and not in_body:
+            record(i, definition=False)
+            start = i + 1
+    return decls, body_idents
+
+
+def source_files(root: Path) -> list[Path]:
+    return [p for p in sorted(root.rglob("*"))
+            if p.suffix in SOURCE_SUFFIXES and p.is_file()]
+
+
+def load_allowlist(repo_root: Path,
+                   rel: str) -> tuple[dict[str, int], list[Finding]]:
+    """Allowlisted names with their line numbers; an entry without a
+    `# reason` is a finding."""
+    path = repo_root / rel
+    names, findings = {}, []
+    if not path.is_file():
+        return names, findings
+    for idx, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1):
+        name, _, reason = line.partition("#")
+        name = name.strip()
+        if not name:
+            continue
+        names[name] = idx
+        if not reason.strip():
+            findings.append(Finding(rel, idx, "test-only-api",
+                                    f'allowlist entry "{name}" gives no '
+                                    "reason"))
+    return names, findings
+
+
+def check_test_only_api(repo_root: Path,
+                        allowlist_rel: str = TEST_ONLY_API_ALLOWLIST
+                        ) -> list[Finding]:
+    """Flags the functions a src/ header declares that no production file
+    uses.  A use is a name inside a function body, a signature or an
+    initializer, or a macro body; declaring or defining a function of that
+    name is not, so the header and its .cc count only where they call it."""
+    uses: dict[str, set[str]] = {}
+    decls: dict[str, list[tuple[str, int]]] = {}
+    for top in PRODUCTION_DIRS:
+        if not (repo_root / top).is_dir():
+            continue
+        for path in source_files(repo_root / top):
+            rel = path.relative_to(repo_root).as_posix()
+            found, used = scan_scopes(strip_comments(
+                path.read_text(encoding="utf-8", errors="replace")))
+            uses[rel] = used
+            if rel.startswith("src/") and rel.endswith(".h"):
+                decls[rel] = found
+
+    allowlist, findings = load_allowlist(repo_root, allowlist_rel)
+    matched = set()
+    for rel, found in sorted(decls.items()):
+        reported = set()
+        for name, line in found:
+            if name in reported or any(name in used
+                                       for used in uses.values()):
+                continue
+            reported.add(name)
+            # An entry names one API, or a header whose every declaration
+            # serves tests or benches by design.
+            entry = name if name in allowlist else rel
+            if entry in allowlist:
+                matched.add(entry)
+                continue
+            findings.append(Finding(
+                rel, line, "test-only-api",
+                f"{name}() has no caller in src/, examples/ or servebench/ "
+                "(tests and benches do not count); delete it, move it into the test "
+                f"that needs it, or list it with a reason in {allowlist_rel}"))
+    for entry, line in allowlist.items():
+        if entry not in matched:
+            findings.append(Finding(
+                allowlist_rel, line, "test-only-api",
+                f'allowlist entry "{entry}" matches no test-only API; '
+                "remove it"))
+    return findings
+
+
 # --- driver -----------------------------------------------------------------
 
 def lint_file(repo_root: Path, path: Path, fault_table: set[str],
@@ -373,6 +572,8 @@ def main(argv: list[str]) -> int:
         return 2
 
     findings = list(check_status_nodiscard_attr(repo_root))
+    if not args.paths:
+        findings.extend(check_test_only_api(repo_root))
     for path in collect_files(repo_root, args.paths):
         findings.extend(lint_file(repo_root, path, fault_table, metric_table))
 
