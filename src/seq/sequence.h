@@ -59,9 +59,6 @@ class SequenceDataset {
   /// only its first l_top symbols and becomes open-ended (Section 4.2).
   SequenceDataset Truncate(std::size_t l_top) const;
 
-  /// Total number of symbols across all sequences.
-  std::size_t TotalSymbols() const { return symbols_.size(); }
-
  private:
   std::size_t alphabet_size_;
   std::vector<Symbol> symbols_;        // All sequences, concatenated.

@@ -36,9 +36,7 @@
 // synopsis transiently unfetchable.  `stats().spill_pending` exposes the
 // writer's backlog — the admission controller sheds fit load when it grows
 // (see server/admission.h) — and FlushSpill() blocks until the backlog is
-// on disk (tests, clean shutdown).  Setting
-// `SpillOptions::background_writer = false` restores synchronous
-// eviction-time writes.
+// on disk (tests, clean shutdown).
 #ifndef PRIVTREE_SERVE_SYNOPSIS_CACHE_H_
 #define PRIVTREE_SERVE_SYNOPSIS_CACHE_H_
 
@@ -105,9 +103,6 @@ struct SpillOptions {
   std::string directory;
   /// Max synopsis files kept on disk (oldest evicted first); 0 = unbounded.
   std::size_t max_entries = 256;
-  /// Serialize evictions on a dedicated writer thread (write-behind, the
-  /// default) instead of on the evicting caller's thread.
-  bool background_writer = true;
 };
 
 /// A thread-safe LRU cache of fitted methods with an optional disk tier.
@@ -122,8 +117,8 @@ class SynopsisCache {
     std::size_t spill_evictions = 0;  ///< Spill files deleted for capacity.
     std::size_t spill_failures = 0;   ///< Unserializable or corrupt spills.
     /// Write-path failures specifically (serialize/rename errors on the
-    /// background writer or the evicting caller); also counted in
-    /// spill_failures.  Each failing key logs one stderr line, once.
+    /// background writer); also counted in spill_failures.  Each failing
+    /// key logs one stderr line, once.
     std::size_t spill_write_failures = 0;
     /// Corrupt envelopes quarantined (renamed to `.quarantined`) instead
     /// of served: warm-restart scan rejects + runtime load failures.
@@ -201,19 +196,20 @@ class SynopsisCache {
   using Evicted = std::pair<SynopsisKey, Sized>;
 
   /// Inserts (key, value) at the front, evicting from the back into
-  /// `*evicted` for the caller to spill after unlocking; caller holds mu_.
+  /// `*evicted` (only when spilling) for the caller to hand to
+  /// EnqueueSpillLocked; caller holds mu_.
   void InsertLocked(const SynopsisKey& key, Sized value,
                     std::vector<Evicted>* evicted) REQUIRES(mu_);
 
-  /// Serializes evicted entries to the spill directory (temp-file + rename,
-  /// no lock held during the write), then registers the files and trims the
-  /// spill tier to capacity, oldest-or-coldest file first.
+  /// The background writer's work: serializes evicted entries to the spill
+  /// directory (temp-file + rename, no lock held during the write), then
+  /// registers the files and trims the spill tier to capacity,
+  /// oldest-or-coldest file first.
   void SpillEvicted(const std::vector<Evicted>& evicted) EXCLUDES(mu_);
 
-  /// Queues evicted entries for the background writer (or hands them to
-  /// SpillEvicted inline when the writer is disabled); caller holds mu_ and
-  /// must call spill_cv_.NotifyAll() after unlocking when this returns
-  /// true (entries were queued).
+  /// Queues evicted entries for the background writer and clears
+  /// `*evicted`; caller holds mu_ and must call spill_cv_.NotifyAll() after
+  /// unlocking when this returns true (entries were queued).
   bool EnqueueSpillLocked(std::vector<Evicted>* evicted) REQUIRES(mu_);
 
   /// Background writer main loop: drain the whole pending queue per wakeup.

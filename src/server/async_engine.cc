@@ -21,6 +21,9 @@ namespace privtree::server {
 
 namespace {
 
+/// How often the watchdog scans the executing requests' deadlines.
+constexpr auto kWatchdogPoll = std::chrono::milliseconds(50);
+
 // Registry handles resolved once per process; recording through them is
 // lock-free.  Every engine shares these (the names are per-process, like
 // the cache the engines share).
@@ -100,12 +103,8 @@ AsyncEngine::AsyncEngine(release::Dataset data, serve::ThreadPool& pool,
       cache_(cache),
       dataset_fingerprint_(data_.Fingerprint()),
       admission_(options.admission, &cache),
-      queue_(options.admission.max_queue_depth) {
-  if (options.watchdog_poll_millis > 0) {
-    watchdog_ = std::thread(&AsyncEngine::RunWatchdog, this,
-                            options.watchdog_poll_millis);
-  }
-}
+      queue_(options.admission.max_queue_depth),
+      watchdog_(&AsyncEngine::RunWatchdog, this) {}
 
 AsyncEngine::AsyncEngine(const PointSet& points, Box domain,
                          serve::ThreadPool& pool, serve::SynopsisCache& cache,
@@ -116,19 +115,17 @@ AsyncEngine::AsyncEngine(const PointSet& points, Box domain,
 AsyncEngine::~AsyncEngine() {
   // Queued requests capture `this`; do not let them outlive the engine.
   pool_.WaitIdle();
-  if (watchdog_.joinable()) {
-    {
-      MutexLock lk(watch_mu_);
-      stop_watchdog_ = true;
-    }
-    watch_cv_.NotifyAll();
-    watchdog_.join();
+  {
+    MutexLock lk(watch_mu_);
+    stop_watchdog_ = true;
   }
+  watch_cv_.NotifyAll();
+  watchdog_.join();
 }
 
 std::uint64_t AsyncEngine::BeginWatch(DeadlineClock::time_point deadline,
                                       std::function<void()> fail) {
-  if (!watchdog_.joinable() || deadline == kNoDeadline) return 0;
+  if (deadline == kNoDeadline) return 0;
   MutexLock lk(watch_mu_);
   const std::uint64_t id = ++next_watch_id_;
   watched_.emplace(id, Watched{deadline, std::move(fail)});
@@ -141,10 +138,10 @@ void AsyncEngine::EndWatch(std::uint64_t id) {
   watched_.erase(id);
 }
 
-void AsyncEngine::RunWatchdog(std::uint64_t poll_millis) {
+void AsyncEngine::RunWatchdog() {
   MutexLock lk(watch_mu_);
   while (!stop_watchdog_) {
-    watch_cv_.WaitFor(lk, std::chrono::milliseconds(poll_millis));
+    watch_cv_.WaitFor(lk, kWatchdogPoll);
     if (stop_watchdog_) return;
     const DeadlineClock::time_point now = DeadlineClock::now();
     std::vector<std::function<void()>> fired;
@@ -394,28 +391,6 @@ Future<QueryBatchResponse> AsyncEngine::SubmitSeqQueryBatch(
                                     /*always_fits=*/false, deadline,
                                     std::move(trace),
                                     AnswerBatch(std::move(queries)));
-}
-
-std::size_t AsyncEngine::Warm(std::span<const FitSpec> specs) {
-  std::size_t accepted = 0;
-  for (const FitSpec& spec : specs) {
-    if (!ValidateSpec(spec).ok()) continue;
-    const serve::SynopsisKey key = KeyFor(spec);
-    if (cache_.Lookup(key) != nullptr) continue;  // Already warm.
-    admission_.BeginFit(key);
-    QueuedRequest request;  // No deadline and nobody waits on a future.
-    request.expire = [this, key](Status) { admission_.EndFit(key); };
-    request.run = [this, spec, key] {
-      serve::FitSynopsis(data_, dataset_fingerprint_, JobFor(spec), &cache_);
-      admission_.EndFit(key);
-    };
-    if (Enqueue(request, /*needs_fit=*/true).ok()) {
-      ++accepted;
-    } else {
-      admission_.EndFit(key);
-    }
-  }
-  return accepted;
 }
 
 AsyncEngine::StatsSnapshot AsyncEngine::Stats() const {

@@ -20,12 +20,11 @@
 // Overload never queues unboundedly: a full queue or a saturated cache
 // writer sheds the request immediately with Status::Unavailable, and a
 // request whose deadline passes while it waits is retired with
-// Status::DeadlineExceeded without ever executing.
-//
-// Warm() is the Prefetch-driven warming path: feed it the fit specs of an
-// observed workload (e.g. a replayed request log) and it fills the cache
-// through the same admission-controlled queue, so a warmup burst cannot
-// starve live traffic past the queue bound.
+// Status::DeadlineExceeded without ever executing.  A request whose
+// deadline passes while it is *executing* (a stuck or fault-delayed fit)
+// has its future settled with DeadlineExceeded by a background watchdog
+// thread instead of wedging the caller's reply slot forever; the execution
+// itself still runs to completion (its late result is discarded).
 #ifndef PRIVTREE_SERVER_ASYNC_ENGINE_H_
 #define PRIVTREE_SERVER_ASYNC_ENGINE_H_
 
@@ -33,7 +32,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -57,19 +55,14 @@ namespace privtree::server {
 
 struct EngineOptions {
   AdmissionOptions admission;
-  /// Watchdog scan interval.  A request whose deadline passes while it is
-  /// *executing* (a stuck or fault-delayed fit) has its future settled with
-  /// DeadlineExceeded by a background watchdog thread instead of wedging
-  /// the caller's reply slot forever; the execution itself still runs to
-  /// completion (its late result is discarded).  0 disables the watchdog.
-  std::uint64_t watchdog_poll_millis = 50;
 };
 
 /// One engine per served dataset; safe to call from any number of threads.
 class AsyncEngine {
  public:
-  /// Everything the engine serves about one dataset and its load state, for
-  /// the stats surfaces (bench telemetry, the wire protocol's Stats reply).
+  /// Everything the engine serves about one dataset and its load state
+  /// (privtree_server prints it at shutdown; GetStats reads the same
+  /// counts from the metrics registry).
   struct StatsSnapshot {
     std::size_t queue_depth = 0;
     std::size_t queue_max_depth = 0;
@@ -126,12 +119,6 @@ class AsyncEngine {
       DeadlineClock::time_point deadline = kNoDeadline,
       obs::TracePtr trace = {});
 
-  /// Cache warming from an observed workload: enqueues an
-  /// admission-controlled background fit per not-yet-cached spec and
-  /// returns how many were accepted (invalid, shed, and already-cached
-  /// specs are skipped).  Fire-and-forget; redeem progress via Stats().
-  std::size_t Warm(std::span<const FitSpec> specs);
-
   /// Non-OK when the spec cannot be served: unregistered method, a method
   /// kind that does not match the served dataset, wrong dimensionality,
   /// non-finite or non-positive ε, unknown option key or out-of-range
@@ -165,11 +152,11 @@ class AsyncEngine {
   /// passes before EndWatch, the watchdog runs `fail` (which settles the
   /// request's promise with DeadlineExceeded; the promise wrapper makes a
   /// later Set from the still-running executor a no-op).  Returns 0 (no
-  /// watch) when the watchdog is disabled or the deadline is kNoDeadline.
+  /// watch) when the deadline is kNoDeadline.
   std::uint64_t BeginWatch(DeadlineClock::time_point deadline,
                            std::function<void()> fail) EXCLUDES(watch_mu_);
   void EndWatch(std::uint64_t id) EXCLUDES(watch_mu_);
-  void RunWatchdog(std::uint64_t poll_millis) EXCLUDES(watch_mu_);
+  void RunWatchdog() EXCLUDES(watch_mu_);
 
   /// The run path every Submit* shares: resolves the future with
   /// `screened` when it is not OK, otherwise admits and enqueues the

@@ -318,18 +318,6 @@ Result<std::vector<double>> Client::SeqQueryBatch(
   return std::move(reply.answers);
 }
 
-Result<std::uint64_t> Client::Warm(std::span<const FitSpec> specs) {
-  WarmRequest request;
-  request.dataset_fingerprint = dataset_;
-  request.specs.assign(specs.begin(), specs.end());
-  Result<std::string> frame =
-      RoundTrip(EncodeWarm(request), /*idempotent=*/true);
-  if (!frame.ok()) return frame.status();
-  WarmReply reply;
-  if (Status s = DecodeWarmReply(frame.value(), &reply); !s.ok()) return s;
-  return reply.accepted;
-}
-
 Result<RegisterDatasetReply> Client::RegisterDataset(
     const RegisterDatasetRequest& request) {
   Result<std::string> frame =
@@ -340,15 +328,6 @@ Result<RegisterDatasetReply> Client::RegisterDataset(
       !s.ok()) {
     return s;
   }
-  return reply;
-}
-
-Result<StatsReply> Client::Stats() {
-  Result<std::string> frame =
-      RoundTrip(EncodeStats(), /*idempotent=*/true);
-  if (!frame.ok()) return frame.status();
-  StatsReply reply;
-  if (Status s = DecodeStatsReply(frame.value(), &reply); !s.ok()) return s;
   return reply;
 }
 

@@ -82,7 +82,7 @@ class Client {
   /// tenant's shape, the full tenant table, and this session's budget).
   const HelloReply& info() const { return info_; }
 
-  /// Routes subsequent Fit/QueryBatch/SeqQueryBatch/Warm calls at the
+  /// Routes subsequent Fit/QueryBatch/SeqQueryBatch calls at the
   /// tenant with this fingerprint (see info().datasets); 0 restores the
   /// server default.  An unknown fingerprint answers NotFound per call.
   void SelectDataset(std::uint64_t fingerprint) { dataset_ = fingerprint; }
@@ -107,13 +107,6 @@ class Client {
   Result<std::vector<double>> SeqQueryBatch(
       const FitSpec& spec, std::span<const release::SequenceQuery> queries,
       std::int64_t deadline_millis = 0);
-
-  /// Requests background cache warming; returns how many specs the
-  /// server's admission control accepted.
-  Result<std::uint64_t> Warm(std::span<const FitSpec> specs);
-
-  /// Serving telemetry snapshot.
-  Result<StatsReply> Stats();
 
   /// The server's observability snapshot (protocol v5 GetStats): the whole
   /// metrics registry as one JSON object, plus trace-ring and fault-point

@@ -1,6 +1,5 @@
 #include "server/dispatcher.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -176,14 +175,6 @@ void Dispatcher::HandleFrame(std::string_view payload,
       return;
     }
 
-    case MessageType::kWarm:
-      done(HandleWarm(payload));
-      return;
-
-    case MessageType::kStats:
-      done(HandleStats());
-      return;
-
     case MessageType::kGetStats:
       done(EncodeGetStatsReply(obs::ProcessStatsJson()));
       return;
@@ -237,51 +228,6 @@ std::string Dispatcher::HandleHello(std::string_view payload,
   reply.budget_total = session.budget_total();
   reply.budget_spent = session.spent();
   return EncodeHelloReply(reply);
-}
-
-std::string Dispatcher::HandleWarm(std::string_view payload) const {
-  WarmRequest request;
-  if (Status s = DecodeWarm(payload, &request); !s.ok()) {
-    return EncodeErrorReply(s);
-  }
-  AsyncEngine* engine = registry_.Find(request.dataset_fingerprint);
-  if (engine == nullptr) {
-    return EncodeErrorReply(
-        Status::NotFound("no dataset with fingerprint " +
-                         std::to_string(request.dataset_fingerprint)));
-  }
-  return EncodeWarmReply({engine->Warm(request.specs)});
-}
-
-std::string Dispatcher::HandleStats() const {
-  // Queue and admission tallies sum over every tenant's engine; the cache
-  // is shared, so its counters are taken once (from any engine).
-  StatsReply reply;
-  bool have_cache = false;
-  for (const DatasetInfo& info : registry_.List()) {
-    AsyncEngine* engine = registry_.Find(info.fingerprint);
-    if (engine == nullptr) continue;
-    const AsyncEngine::StatsSnapshot snapshot = engine->Stats();
-    reply.queue_depth += snapshot.queue_depth;
-    reply.queue_max_depth =
-        std::max<std::uint64_t>(reply.queue_max_depth,
-                                snapshot.queue_max_depth);
-    reply.admitted += snapshot.admission.admitted;
-    reply.shed_queue_full += snapshot.admission.shed_queue_full;
-    reply.shed_cache_saturated += snapshot.admission.shed_cache_saturated;
-    reply.expired += snapshot.admission.expired;
-    reply.coalesced_fits += snapshot.admission.coalesced_fits;
-    if (!have_cache) {
-      have_cache = true;
-      reply.cache_hits = snapshot.cache.hits;
-      reply.cache_misses = snapshot.cache.misses;
-      reply.cache_evictions = snapshot.cache.evictions;
-      reply.spill_writes = snapshot.cache.spill_writes;
-      reply.spill_pending = snapshot.cache.spill_pending;
-      reply.writeback_hits = snapshot.cache.writeback_hits;
-    }
-  }
-  return EncodeStatsReply(reply);
 }
 
 std::string Dispatcher::HandleRegisterDataset(

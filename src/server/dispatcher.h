@@ -7,7 +7,7 @@
 // so there is exactly one implementation of the protocol semantics.
 //
 // The API is asynchronous: HandleFrame invokes `done(reply)` exactly once —
-// synchronously for control frames (Hello, Warm, Stats, Shutdown,
+// synchronously for control frames (Hello, GetStats, Shutdown,
 // RegisterDataset) and every error caught before submission, or from a
 // pool thread's completion callback for engine-backed frames (Fit,
 // QueryBatch, SeqQueryBatch), which is what lets the event loop pipeline
@@ -19,9 +19,7 @@
 // session the first time the session touches that synopsis key (repeats
 // are free — queries are post-processing); the charge is refunded only
 // when every request holding it failed (see server/client_session.h).
-// Warm is exempt: prefetch returns no released values, and billing a
-// background cache fill to whichever client happened to request it would
-// double-charge the client that later reads it.
+// These three frames are the only way to make the server fit.
 #ifndef PRIVTREE_SERVER_DISPATCHER_H_
 #define PRIVTREE_SERVER_DISPATCHER_H_
 
@@ -82,8 +80,6 @@ class Dispatcher {
  private:
   std::string HandleHello(std::string_view payload,
                           const ClientSession& session) const;
-  std::string HandleWarm(std::string_view payload) const;
-  std::string HandleStats() const;
   std::string HandleRegisterDataset(std::string_view payload) const;
 
   DatasetRegistry& registry_;

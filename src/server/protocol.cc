@@ -61,8 +61,6 @@ Result<MessageType> PeekType(std::string_view payload) {
     case MessageType::kFit:
     case MessageType::kQueryBatch:
     case MessageType::kSeqQueryBatch:
-    case MessageType::kWarm:
-    case MessageType::kStats:
     case MessageType::kShutdown:
     case MessageType::kRegisterDataset:
     case MessageType::kTraced:
@@ -70,8 +68,6 @@ Result<MessageType> PeekType(std::string_view payload) {
     case MessageType::kHelloReply:
     case MessageType::kFitReply:
     case MessageType::kQueryBatchReply:
-    case MessageType::kWarmReply:
-    case MessageType::kStatsReply:
     case MessageType::kShutdownReply:
     case MessageType::kRegisterDatasetReply:
     case MessageType::kGetStatsReply:
@@ -344,89 +340,6 @@ Status DecodeQueryBatchReply(std::string_view payload, QueryBatchReply* out) {
   }
   out->cache_hit = hit == 1;
   return Finish(r, "QueryBatchReply");
-}
-
-std::string EncodeWarm(const WarmRequest& request) {
-  std::string out;
-  ByteWriter w(&out);
-  PutTag(w, MessageType::kWarm);
-  w.U64(request.dataset_fingerprint);
-  w.U64(request.specs.size());
-  for (const FitSpec& spec : request.specs) PutSpec(w, spec);
-  return out;
-}
-
-Status DecodeWarm(std::string_view payload, WarmRequest* out) {
-  ByteReader r(payload);
-  std::uint64_t count = 0;
-  // A spec is at least 24 wire bytes (two length prefixes + f64 + u64);
-  // growing the vector as specs actually parse (instead of a count-sized
-  // resize) keeps a lying count from forcing a huge allocation.
-  if (!TakeTag(r, MessageType::kWarm) || !r.U64(&out->dataset_fingerprint) ||
-      !r.U64(&count) || count > r.remaining() / 24) {
-    return Malformed("Warm");
-  }
-  out->specs.clear();
-  out->specs.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    FitSpec spec;
-    if (!TakeSpec(r, &spec)) return Malformed("Warm");
-    out->specs.push_back(std::move(spec));
-  }
-  return Finish(r, "Warm");
-}
-
-std::string EncodeWarmReply(const WarmReply& reply) {
-  std::string out;
-  ByteWriter w(&out);
-  PutTag(w, MessageType::kWarmReply);
-  w.U64(reply.accepted);
-  return out;
-}
-
-Status DecodeWarmReply(std::string_view payload, WarmReply* out) {
-  ByteReader r(payload);
-  if (!TakeTag(r, MessageType::kWarmReply) || !r.U64(&out->accepted)) {
-    return Malformed("WarmReply");
-  }
-  return Finish(r, "WarmReply");
-}
-
-std::string EncodeStats() {
-  std::string out;
-  ByteWriter w(&out);
-  PutTag(w, MessageType::kStats);
-  return out;
-}
-
-std::string EncodeStatsReply(const StatsReply& reply) {
-  std::string out;
-  ByteWriter w(&out);
-  PutTag(w, MessageType::kStatsReply);
-  for (const std::uint64_t value :
-       {reply.queue_depth, reply.queue_max_depth, reply.admitted,
-        reply.shed_queue_full, reply.shed_cache_saturated, reply.expired,
-        reply.coalesced_fits, reply.cache_hits, reply.cache_misses,
-        reply.cache_evictions, reply.spill_writes, reply.spill_pending,
-        reply.writeback_hits}) {
-    w.U64(value);
-  }
-  return out;
-}
-
-Status DecodeStatsReply(std::string_view payload, StatsReply* out) {
-  ByteReader r(payload);
-  bool ok = TakeTag(r, MessageType::kStatsReply);
-  for (std::uint64_t* field :
-       {&out->queue_depth, &out->queue_max_depth, &out->admitted,
-        &out->shed_queue_full, &out->shed_cache_saturated, &out->expired,
-        &out->coalesced_fits, &out->cache_hits, &out->cache_misses,
-        &out->cache_evictions, &out->spill_writes, &out->spill_pending,
-        &out->writeback_hits}) {
-    ok = ok && r.U64(field);
-  }
-  if (!ok) return Malformed("StatsReply");
-  return Finish(r, "StatsReply");
 }
 
 std::string EncodeTraced(std::uint64_t trace_id, std::string_view inner) {

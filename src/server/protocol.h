@@ -22,8 +22,6 @@
 //                    u64 count, then per query u32 query kind
 //                    (SequenceQueryKind), u32 k, u32 max_len,
 //                    u32 symbol count, u32 × count symbols (each < 65536)
-//   Warm             u64 dataset fingerprint, u64 count, then count FitSpecs
-//   Stats            (empty)
 //   GetStats         (empty; reply is the JSON observability snapshot)
 //   Traced           u64 trace id, then one complete inner request payload
 //                    (tag + body; nesting Traced inside Traced is rejected)
@@ -53,8 +51,6 @@
 //   QueryBatchReply  u32 cache hit, u64 count, f64 × count (also answers
 //                    SeqQueryBatch — a sequence batch is one double per
 //                    spec, exactly like a box batch)
-//   WarmReply        u64 accepted
-//   StatsReply       13 × u64 (see struct StatsReply)
 //   GetStatsReply    str JSON (obs::ProcessStatsJson)
 //   RegisterDatasetReply  u64 fingerprint, u64 record count
 //   ErrorReply       u32 status code (StatusCode), str message,
@@ -93,7 +89,11 @@ namespace privtree::server {
 /// and version negotiation — the server accepts any Hello version in
 /// [kMinProtocolVersion, kProtocolVersion] and echoes the *requested*
 /// version, so v4 clients round-trip bit-for-bit.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+/// v6 retired the Warm (4), Stats (5), WarmReply (104) and StatsReply (105)
+/// tags: fits go through Fit/QueryBatch/SeqQueryBatch only, and GetStats is
+/// the one stats frame.  The server answers a retired tag with an
+/// InvalidArgument ErrorReply, and the tags are never reused.
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 /// Oldest client version the server still speaks (see HelloReply echo).
 inline constexpr std::uint32_t kMinProtocolVersion = 4;
@@ -106,8 +106,7 @@ enum class MessageType : std::uint32_t {
   kHello = 1,
   kFit = 2,
   kQueryBatch = 3,
-  kWarm = 4,
-  kStats = 5,
+  // 4 and 5 (Warm, Stats) are retired; never reuse them.
   kShutdown = 6,
   kSeqQueryBatch = 7,
   kRegisterDataset = 8,
@@ -116,8 +115,7 @@ enum class MessageType : std::uint32_t {
   kHelloReply = 101,
   kFitReply = 102,
   kQueryBatchReply = 103,
-  kWarmReply = 104,
-  kStatsReply = 105,
+  // 104 and 105 (WarmReply, StatsReply) are retired; never reuse them.
   kShutdownReply = 106,
   kRegisterDatasetReply = 107,
   kGetStatsReply = 108,
@@ -188,11 +186,6 @@ struct SeqQueryBatchRequest {
   std::vector<release::SequenceQuery> queries;
 };
 
-struct WarmRequest {
-  std::uint64_t dataset_fingerprint = 0;  ///< 0 = server default.
-  std::vector<FitSpec> specs;
-};
-
 /// A whole tenant dataset crossing the wire (protocol v3).  Spatial uploads
 /// carry their declared domain (deriving it from the data would leak);
 /// sequence uploads are raw rows, every sequence end-terminated — the
@@ -212,27 +205,6 @@ struct RegisterDatasetReply {
   std::uint64_t point_count = 0;  ///< Points or sequences registered.
 };
 
-struct WarmReply {
-  std::uint64_t accepted = 0;
-};
-
-/// Flat serving telemetry (an AsyncEngine::StatsSnapshot on the wire).
-struct StatsReply {
-  std::uint64_t queue_depth = 0;
-  std::uint64_t queue_max_depth = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t shed_queue_full = 0;
-  std::uint64_t shed_cache_saturated = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t coalesced_fits = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t spill_writes = 0;
-  std::uint64_t spill_pending = 0;
-  std::uint64_t writeback_hits = 0;
-};
-
 /// Reads the message-type tag without consuming the payload.
 Result<MessageType> PeekType(std::string_view payload);
 
@@ -248,10 +220,6 @@ std::string EncodeQueryBatch(const QueryBatchRequest& request);
 /// alphabet, top-k rank bounds) are screened server-side by the engine.
 std::string EncodeSeqQueryBatch(const SeqQueryBatchRequest& request);
 std::string EncodeQueryBatchReply(const QueryBatchReply& reply);
-std::string EncodeWarm(const WarmRequest& request);
-std::string EncodeWarmReply(const WarmReply& reply);
-std::string EncodeStats();
-std::string EncodeStatsReply(const StatsReply& reply);
 /// Wraps a complete inner request payload with a u64 trace id (protocol
 /// v5); servers unwrap it transparently, so wrapping never changes the
 /// reply bytes.
@@ -278,9 +246,6 @@ Status DecodeQueryBatch(std::string_view payload, QueryBatchRequest* out);
 Status DecodeSeqQueryBatch(std::string_view payload,
                            SeqQueryBatchRequest* out);
 Status DecodeQueryBatchReply(std::string_view payload, QueryBatchReply* out);
-Status DecodeWarm(std::string_view payload, WarmRequest* out);
-Status DecodeWarmReply(std::string_view payload, WarmReply* out);
-Status DecodeStatsReply(std::string_view payload, StatsReply* out);
 /// The inner view aliases `payload`; it stays valid while payload does.
 /// Rejects an empty inner payload and a nested Traced envelope.
 Status DecodeTraced(std::string_view payload, std::uint64_t* trace_id,

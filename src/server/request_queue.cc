@@ -3,15 +3,37 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace privtree::server {
 
+namespace {
+
+/// Requests waiting in every live queue of the process.  Updated under the
+/// queue's lock, so a pop never subtracts before its push added.
+obs::Gauge& QueueDepthGauge() {
+  static obs::Gauge& g =
+      obs::Registry::Global().GetGauge("engine.queue_depth");
+  return g;
+}
+
+}  // namespace
+
 RequestQueue::RequestQueue(std::size_t max_depth)
-    : max_depth_(std::max<std::size_t>(max_depth, 1)) {}
+    : max_depth_(std::max<std::size_t>(max_depth, 1)) {
+  QueueDepthGauge();  // Listed in the stats from the first engine on.
+}
+
+RequestQueue::~RequestQueue() {
+  MutexLock lk(mu_);
+  QueueDepthGauge().Sub(queue_.size());
+}
 
 bool RequestQueue::TryPush(QueuedRequest& request) {
   MutexLock lk(mu_);
   if (queue_.size() >= max_depth_) return false;
   queue_.push_back(std::move(request));
+  QueueDepthGauge().Add(1);
   return true;
 }
 
@@ -20,6 +42,7 @@ bool RequestQueue::TryPop(QueuedRequest* request) {
   if (queue_.empty()) return false;
   *request = std::move(queue_.front());
   queue_.pop_front();
+  QueueDepthGauge().Sub(1);
   return true;
 }
 

@@ -6,7 +6,8 @@
 // Unavailable error instead of queueing unboundedly.  Each entry carries
 // its deadline plus two continuations — `run` executes the request,
 // `expire` resolves its future with an error — so the popping executor can
-// retire an expired request without ever running it.
+// retire an expired request without ever running it.  The process-wide
+// `engine.queue_depth` gauge counts the requests waiting in every queue.
 #ifndef PRIVTREE_SERVER_REQUEST_QUEUE_H_
 #define PRIVTREE_SERVER_REQUEST_QUEUE_H_
 
@@ -33,6 +34,8 @@ class RequestQueue {
  public:
   /// Holds at most `max_depth` pending requests (0 is clamped to 1).
   explicit RequestQueue(std::size_t max_depth);
+  /// Drops whatever is still queued from the depth gauge.
+  ~RequestQueue();
 
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;

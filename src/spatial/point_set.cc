@@ -1,8 +1,7 @@
 #include "spatial/point_set.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "dp/check.h"
 
@@ -34,27 +33,6 @@ std::size_t PointSet::ExactRangeCount(const Box& box) const {
     if (box.Contains(point(i))) ++count;
   }
   return count;
-}
-
-Box PointSet::BoundingBox() const {
-  PRIVTREE_CHECK(!empty());
-  std::vector<double> lo(dim_, std::numeric_limits<double>::infinity());
-  std::vector<double> hi(dim_, -std::numeric_limits<double>::infinity());
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto p = point(i);
-    for (std::size_t j = 0; j < dim_; ++j) {
-      lo[j] = std::min(lo[j], p[j]);
-      hi[j] = std::max(hi[j], p[j]);
-    }
-  }
-  // Expand the upper bound so every point passes the half-open test.
-  for (std::size_t j = 0; j < dim_; ++j) {
-    const double width = hi[j] - lo[j];
-    hi[j] += (width > 0.0 ? width : 1.0) * 1e-9 +
-             std::numeric_limits<double>::min();
-  }
-  return Box(std::move(lo), std::move(hi));
 }
 
 }  // namespace privtree

@@ -38,10 +38,6 @@ class PointSet {
   /// truth; private algorithms must not release this directly.
   std::size_t ExactRangeCount(const Box& box) const;
 
-  /// The tightest box containing all points (hi is nudged so that every
-  /// point satisfies the half-open membership test).  Requires size() > 0.
-  Box BoundingBox() const;
-
  private:
   std::size_t dim_;
   std::vector<double> coords_;

@@ -20,7 +20,9 @@ TEST(SequenceDatasetTest, AddAndAccess) {
   EXPECT_TRUE(data.has_end(0));
   EXPECT_FALSE(data.has_end(1));
   EXPECT_EQ(data.sequence(0)[2], 2);
-  EXPECT_EQ(data.TotalSymbols(), 5u);
+  std::size_t total_symbols = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) total_symbols += data.length(i);
+  EXPECT_EQ(total_symbols, 5u);
 }
 
 TEST(SequenceDatasetTest, LengthWithEndCountsTheMarker) {

@@ -7,7 +7,7 @@
 //   * a request whose deadline passes while queued is retired with
 //     DeadlineExceeded and never executes;
 //   * identical in-flight fits coalesce onto the cache's single-flight
-//     path; Warm() fills the cache in the background.
+//     path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -285,29 +285,6 @@ TEST(AsyncEngineTest, IdenticalInFlightFitsCoalesce) {
   EXPECT_EQ(first.Get().metadata.synopsis_size,
             second.Get().metadata.synopsis_size);
   EXPECT_EQ(engine.admission().InFlightFits(), 0u);
-}
-
-TEST(AsyncEngineTest, WarmPrefetchesTheCache) {
-  const PointSet points = TestPoints(100);
-  serve::ThreadPool pool(2);
-  serve::SynopsisCache cache(16);
-  AsyncEngine engine(points, Box::UnitCube(2), pool, cache);
-
-  const std::vector<FitSpec> specs = {
-      {"ug", {}, kEpsilon, kSeed},
-      {"privtree", {}, kEpsilon, kSeed},
-      {"nonsense", {}, kEpsilon, kSeed},  // Skipped, not an error.
-  };
-  EXPECT_EQ(engine.Warm(specs), 2u);
-  pool.WaitIdle();
-  EXPECT_NE(cache.Lookup(engine.KeyFor(specs[0])), nullptr);
-  EXPECT_NE(cache.Lookup(engine.KeyFor(specs[1])), nullptr);
-  // A second Warm finds everything cached and accepts nothing.
-  EXPECT_EQ(engine.Warm(specs), 0u);
-  // Warmed fits serve as cache hits.
-  const FitResponse& fitted = engine.SubmitFit(specs[0]).Get();
-  ASSERT_TRUE(fitted.status.ok());
-  EXPECT_TRUE(fitted.cache_hit);
 }
 
 TEST(AsyncEngineTest, InvalidSpecsResolveImmediately) {

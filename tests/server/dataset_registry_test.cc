@@ -317,7 +317,7 @@ TEST_F(BudgetFixture, ExhaustionFailsCleanlyAndOthersKeepServing) {
   EXPECT_TRUE(fresh.Fit({"privtree", {}, kEpsilon, kSeed + 2}).ok());
 
   // And the broke session still serves control frames.
-  EXPECT_TRUE(spender.Stats().ok());
+  EXPECT_TRUE(spender.GetStatsJson().ok());
 }
 
 TEST_F(BudgetFixture, RejectedSpecDoesNotBurnBudget) {

@@ -4,9 +4,9 @@
 // a half-open slow-loris peer is reaped by the idle timeout without
 // disturbing other clients (the regression this file pins), malformed
 // length prefixes answer ErrorReply and close cleanly, server-side errors
-// (a non-finite ε among them) come back as statuses on a connection that
-// keeps serving, Warm/Stats work remotely, and Shutdown drains the loop
-// gracefully.
+// (a non-finite ε and the retired Warm/Stats tags among them) come back as
+// statuses on a connection that keeps serving, and Shutdown drains the
+// loop gracefully.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -391,25 +391,6 @@ TEST_F(EventLoopFixture, HelloDescribesTheServedDataset) {
                 release::DatasetKind::kSpatial));
 }
 
-TEST_F(EventLoopFixture, WarmAndStatsWorkRemotely) {
-  Client client = MustConnect();
-  const std::vector<FitSpec> specs = {{"ug", {}, kEpsilon, kSeed},
-                                      {"wavelet", {}, kEpsilon, kSeed}};
-  const auto accepted = client.Warm(specs);
-  ASSERT_TRUE(accepted.ok());
-  EXPECT_EQ(accepted.value(), 2u);
-  pool_->WaitIdle();
-
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats.value().admitted, 2u);
-  EXPECT_EQ(stats.value().queue_max_depth, 256u);
-  // The warmed release now serves as a cache hit.
-  const auto fitted = client.Fit(specs[0]);
-  ASSERT_TRUE(fitted.ok());
-  EXPECT_TRUE(fitted.value().cache_hit);
-}
-
 TEST_F(EventLoopFixture, ServerSideErrorsComeBackAsStatuses) {
   Client client = MustConnect();
   const auto unknown = client.Fit({"nonsense", {}, kEpsilon, kSeed});
@@ -431,6 +412,36 @@ std::string RoundTrip(Connection& conn, const std::string& payload) {
   auto reply = conn.RecvFrame();
   EXPECT_TRUE(reply.ok()) << reply.status().ToString();
   return reply.ok() ? std::move(reply).value() : std::string();
+}
+
+TEST_F(EventLoopFixture, RetiredTagsAreRefusedAndTheConnectionServes) {
+  // Protocol v6 retired Warm (tag 4) and Stats (tag 5).  Frames carrying
+  // them, with the bodies v5 gave them, answer InvalidArgument, and the
+  // same connection still serves a Fit afterwards.
+  auto dialed = Connection::Dial("127.0.0.1", port_);
+  ASSERT_TRUE(dialed.ok());
+  Connection conn = std::move(dialed).value();
+  std::string warm;
+  ByteWriter w(&warm);
+  w.U32(4);
+  w.U64(0);  // Dataset fingerprint: the server default.
+  w.U64(0);  // No specs.
+  std::string stats;
+  ByteWriter(&stats).U32(5);
+  for (const std::string& payload : {warm, stats}) {
+    const std::string reply = RoundTrip(conn, payload);
+    ASSERT_EQ(PeekType(reply).value(), MessageType::kErrorReply);
+    Status carried;
+    ASSERT_TRUE(DecodeErrorReply(reply, &carried).ok());
+    EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument)
+        << carried.ToString();
+  }
+  FitReply fitted;
+  ASSERT_TRUE(DecodeFitReply(
+                  RoundTrip(conn, EncodeFit({{"ug", {}, kEpsilon, kSeed}})),
+                  &fitted)
+                  .ok());
+  EXPECT_EQ(fitted.metadata.method, "ug");
 }
 
 TEST_F(EventLoopFixture, InfiniteEpsilonIsRefusedWithoutChargeOrCrash) {
@@ -512,7 +523,7 @@ TEST_F(EventLoopFixture, StopFromAnotherThreadDrains) {
   EXPECT_TRUE(run_status_.ok());
   serving_ = std::thread([] {});
   // The existing connection observes the close.
-  EXPECT_FALSE(client.Stats().ok());
+  EXPECT_FALSE(client.GetStatsJson().ok());
 }
 
 class EventLoopCapacityFixture : public EventLoopFixture {
@@ -533,8 +544,8 @@ TEST_F(EventLoopCapacityFixture, AcceptsPastCapacityAreRefused) {
   EXPECT_FALSE(refused.ok());
   EXPECT_GE(loop_->stats().refused_at_capacity, 1u);
   // The two admitted connections still serve.
-  EXPECT_TRUE(a.Stats().ok());
-  EXPECT_TRUE(b.Stats().ok());
+  EXPECT_TRUE(a.GetStatsJson().ok());
+  EXPECT_TRUE(b.GetStatsJson().ok());
 }
 
 TEST(ServerSocketTest, DialingAClosedPortFails) {

@@ -1,7 +1,8 @@
 // The observability surface over a live socket: protocol-v4 clients still
 // handshake and round-trip bit-for-bit, a kTraced wrapper never changes a
 // single reply byte, GetStats returns a JSON snapshot whose counters match
-// the traffic that was actually served, and the trace ring records one
+// the traffic that was actually served, the engine.queue_depth gauge
+// follows the request queues back to 0, and the trace ring records one
 // finished trace per request with the spans a query pipeline must have.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "dp/rng.h"
 #include "dp/status.h"
 #include "eval/workload.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "release/dataset.h"
@@ -25,6 +27,7 @@
 #include "server/dispatcher.h"
 #include "server/event/event_loop.h"
 #include "server/protocol.h"
+#include "server/request_queue.h"
 #include "server/socket.h"
 #include "spatial/box.h"
 #include "spatial/point_set.h"
@@ -119,7 +122,7 @@ TEST_F(ObservabilityFixture, ProtocolV4ClientStillRoundTripsBitForBit) {
       RoundTripRaw(conn, EncodeQueryBatch(request));
   ASSERT_EQ(PeekType(v4_reply).value(), MessageType::kQueryBatchReply);
 
-  // The same request through a current (v5) Client answers with the same
+  // The same request through a current Client answers with the same
   // bytes — the protocol bump changed nothing the old client can see.
   auto client = Client::Connect("127.0.0.1", port_);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -211,6 +214,41 @@ TEST_F(ObservabilityFixture, GetStatsCountsMatchServedTraffic) {
                 .GetCounter("admission.admitted")
                 .Value(),
             static_cast<std::uint64_t>(kRequests));
+}
+
+TEST_F(ObservabilityFixture, QueueDepthGaugeFollowsTheQueueAndDrainsToZero) {
+  obs::Gauge& depth =
+      obs::Registry::Global().GetGauge("engine.queue_depth");
+  {
+    // A queue of its own: each push raises the process-wide gauge, each
+    // pop lowers it, and a queue destroyed while holding requests takes
+    // them out of the count.
+    RequestQueue queue(4);
+    QueuedRequest request;
+    ASSERT_TRUE(queue.TryPush(request));
+    QueuedRequest other;
+    ASSERT_TRUE(queue.TryPush(other));
+    EXPECT_EQ(depth.Value(), 2u);
+    QueuedRequest popped;
+    ASSERT_TRUE(queue.TryPop(&popped));
+    EXPECT_EQ(depth.Value(), 1u);
+  }
+  EXPECT_EQ(depth.Value(), 0u);
+
+  auto client = Client::Connect("127.0.0.1", port_);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ASSERT_TRUE(client.value()
+                    .QueryBatch({"ug", {}, kEpsilon, seed}, TestQueries())
+                    .ok());
+  }
+  pool_->WaitIdle();
+  EXPECT_NE(obs::ProcessStatsJson().find("\"engine.queue_depth\":0"),
+            std::string::npos);
+  auto json = client.value().GetStatsJson();
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_NE(json.value().find("\"engine.queue_depth\":0"), std::string::npos)
+      << json.value();
 }
 
 TEST_F(ObservabilityFixture, EveryServedRequestFinishesOneTrace) {

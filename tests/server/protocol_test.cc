@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -122,38 +123,6 @@ TEST(ProtocolTest, EmptyQueryBatchIsValid) {
   EXPECT_TRUE(decoded.queries.empty());
 }
 
-TEST(ProtocolTest, WarmRoundTrip) {
-  WarmRequest request;
-  request.specs = {SampleSpec(), SampleSpec()};
-  request.specs[1].method = "ug";
-  request.specs[1].options = {};
-  WarmRequest decoded;
-  ASSERT_TRUE(DecodeWarm(EncodeWarm(request), &decoded).ok());
-  ASSERT_EQ(decoded.specs.size(), 2u);
-  EXPECT_EQ(decoded.specs[0].method, "privtree");
-  EXPECT_EQ(decoded.specs[1].method, "ug");
-
-  WarmReply reply;
-  ASSERT_TRUE(DecodeWarmReply(EncodeWarmReply({2}), &reply).ok());
-  EXPECT_EQ(reply.accepted, 2u);
-}
-
-TEST(ProtocolTest, StatsReplyRoundTrip) {
-  StatsReply reply;
-  reply.queue_depth = 3;
-  reply.admitted = 100;
-  reply.shed_queue_full = 7;
-  reply.expired = 2;
-  reply.writeback_hits = 5;
-  StatsReply decoded;
-  ASSERT_TRUE(DecodeStatsReply(EncodeStatsReply(reply), &decoded).ok());
-  EXPECT_EQ(decoded.queue_depth, 3u);
-  EXPECT_EQ(decoded.admitted, 100u);
-  EXPECT_EQ(decoded.shed_queue_full, 7u);
-  EXPECT_EQ(decoded.expired, 2u);
-  EXPECT_EQ(decoded.writeback_hits, 5u);
-}
-
 TEST(ProtocolTest, TracedWrapperRoundTripsIdAndInnerPayload) {
   const std::string inner = EncodeFit({SampleSpec(), 1500});
   const std::string payload = EncodeTraced(0xABCDEF0123456789ull, inner);
@@ -249,6 +218,18 @@ TEST(ProtocolTest, WrongTagIsRejected) {
   EXPECT_FALSE(PeekType(unknown).ok());
 }
 
+TEST(ProtocolTest, RetiredTagsAreUnknown) {
+  // v6 retired Warm (4), Stats (5), WarmReply (104) and StatsReply (105).
+  for (const std::uint32_t tag : {4u, 5u, 104u, 105u}) {
+    std::string payload;
+    ByteWriter w(&payload);
+    w.U32(tag);
+    const Result<MessageType> type = PeekType(payload);
+    ASSERT_FALSE(type.ok()) << "tag " << tag;
+    EXPECT_EQ(type.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(ProtocolTest, InvertedBoxIsRejected) {
   QueryBatchRequest request;
   request.spec = SampleSpec();
@@ -301,21 +282,6 @@ TEST(ProtocolTest, HostileReplyCountsAreRejectedNotFatal) {
   w.F64(1.0);
   QueryBatchReply decoded;
   EXPECT_FALSE(DecodeQueryBatchReply(payload, &decoded).ok());
-}
-
-TEST(ProtocolTest, HostileWarmCountsAreRejectedNotFatal) {
-  // A Warm frame claiming millions of specs backed by filler bytes must
-  // not pre-allocate count FitSpecs (a multi-GB amplification); specs are
-  // at least 24 wire bytes each, and the count is bounded by that.
-  std::string payload;
-  ByteWriter w(&payload);
-  w.U32(static_cast<std::uint32_t>(MessageType::kWarm));
-  w.U64(0);  // Dataset fingerprint (v3).
-  w.U64(67'000'000);
-  payload.append(1024, '\0');  // Filler far short of the claimed specs.
-  WarmRequest decoded;
-  EXPECT_FALSE(DecodeWarm(payload, &decoded).ok());
-  EXPECT_TRUE(decoded.specs.empty());
 }
 
 TEST(ProtocolTest, ErrorReplyWithOkCodeBecomesInternal) {
@@ -383,10 +349,11 @@ TEST(ProtocolTest, DatasetFingerprintRoundTripsOnEveryRequest) {
   ASSERT_TRUE(DecodeQueryBatch(EncodeQueryBatch(qb), &qb_decoded).ok());
   EXPECT_EQ(qb_decoded.dataset_fingerprint, 0x1234u);
 
-  WarmRequest warm{0x5678, {SampleSpec()}};
-  WarmRequest warm_decoded;
-  ASSERT_TRUE(DecodeWarm(EncodeWarm(warm), &warm_decoded).ok());
-  EXPECT_EQ(warm_decoded.dataset_fingerprint, 0x5678u);
+  SeqQueryBatchRequest seq{SampleSpec(), 0, 0x5678, {}};
+  SeqQueryBatchRequest seq_decoded;
+  ASSERT_TRUE(
+      DecodeSeqQueryBatch(EncodeSeqQueryBatch(seq), &seq_decoded).ok());
+  EXPECT_EQ(seq_decoded.dataset_fingerprint, 0x5678u);
 }
 
 TEST(ProtocolTest, RegisterSpatialDatasetRoundTrip) {

@@ -47,26 +47,6 @@ TEST(PointSetTest, ExactRangeCountIsHalfOpen) {
   EXPECT_EQ(points.ExactRangeCount(Box({0.4}, {0.5})), 0u);
 }
 
-TEST(PointSetTest, BoundingBoxContainsEveryPoint) {
-  PointSet points(2);
-  const std::vector<std::vector<double>> data = {
-      {0.5, -1.0}, {2.0, 3.0}, {-0.5, 0.0}};
-  for (const auto& p : data) points.Add(p);
-  const Box bounds = points.BoundingBox();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_TRUE(bounds.Contains(points.point(i))) << i;
-  }
-}
-
-TEST(PointSetTest, BoundingBoxOfSinglePointIsNonDegenerate) {
-  PointSet points(2);
-  const std::vector<double> p = {0.5, 0.5};
-  points.Add(p);
-  const Box bounds = points.BoundingBox();
-  EXPECT_TRUE(bounds.Contains(points.point(0)));
-  EXPECT_GT(bounds.Volume(), 0.0);
-}
-
 TEST(PointSetDeathTest, NonFiniteCoordinatesAbort) {
   PointSet points(2);
   const std::vector<double> with_nan = {0.5, std::nan("")};

@@ -14,6 +14,10 @@ class Widget {
   int OnlyTestsCallThis() const;
   /// Called from UsedByProduction's body in widget.cc: not flagged.
   int Helper() const;
+  /// Two overloads that only call each other; only the test calls them
+  /// from outside: flagged once, at the first declaration.
+  int Twin(int a) const;
+  int Twin(int a, int b) const;
 };
 
 }  // namespace privtree

@@ -4,3 +4,5 @@
 int TestBoth() {
   return privtree::UsedByProduction() + privtree::Widget().OnlyTestsCallThis();
 }
+
+int TestTwins() { return privtree::Widget().Twin(1, 2); }

@@ -42,10 +42,13 @@ Rules (each has a stable id used in findings and in fixture tests):
                      whose only callers are tests or benches.  Matching is
                      by bare name with comments stripped, so a common name
                      can hide a dead API, but a name that is really used is
-                     never flagged.  Hooks that must stay (fault arming,
-                     counters only tests read) are listed, one reason each,
-                     in tools/lint/test_only_api_allowlist.txt; an entry
-                     that no longer matches a finding is itself reported.
+                     never flagged.  A name used only inside the body of
+                     a function of the same name (overloads that call each
+                     other) is not a use.  Hooks that must stay (fault
+                     arming, counters only tests read) are listed, one
+                     reason each, in tools/lint/test_only_api_allowlist.txt;
+                     an entry that no longer matches a finding is itself
+                     reported.
                      Whole-tree rule: runs only when no paths are given.
 
 Usage:
@@ -379,16 +382,20 @@ def scan_scopes(code: str) -> tuple[list[tuple[str, int]], set[str]]:
     function (or initializer) bodies.  Returns (name, line) of each function
     or method declared at scope level, and the identifiers the code uses —
     in bodies, signatures, initializers and macros — as opposed to the
-    names it declares or defines."""
+    names it declares or defines.  A function body's own name is not a use,
+    so overloads that only call each other do not keep each other alive."""
     code, directives = split_preprocessor(code)
     decls = []
     # A macro body that names a function calls it.
     body_idents: set[str] = set(IDENT_RE.findall(directives))
-    stack: list[tuple[str, str | None]] = []  # (scope | body, class name)
+    # (scope, class name) or (body, name of the function it defines).
+    stack: list[tuple[str, str | None]] = []
     start = 0
     body_start = 0
 
-    def record(end: int, definition: bool) -> None:
+    def record(end: int, definition: bool) -> str | None:
+        """Records the statement ending at `end`; returns the name of the
+        function it declares or defines, if any."""
         stmt = code[start:end]
         class_name = stack[-1][1] if stack else None
         found = statement_decl(stmt, class_name)
@@ -400,6 +407,7 @@ def scan_scopes(code: str) -> tuple[list[tuple[str, int]], set[str]]:
         used = stmt if definition else stmt.partition("=")[2]
         body_idents.update(n for n in IDENT_RE.findall(used)
                            if not found or n != found[0])
+        return found[0] if found else None
 
     for i, c in enumerate(code):
         in_body = bool(stack) and stack[-1][0] == "body"
@@ -419,16 +427,21 @@ def scan_scopes(code: str) -> tuple[list[tuple[str, int]], set[str]]:
                          if n != "final" and not n.isupper()]
                 stack.append(("scope", names[-1] if names else None))
             else:  # A function body, a brace initializer or an enum.
+                defined = None
                 if not (kind and kind.group(1) == "enum"):
-                    record(i, definition=True)
-                stack.append(("body", None))
+                    defined = record(i, definition=True)
+                # A body remembers the function it defines: the overloads
+                # of one name calling each other are not a use of it.
+                stack.append(("body", defined))
                 body_start = i + 1
             start = i + 1
         elif c == "}":
             if stack:
                 if stack[-1][0] == "body" and \
                         (len(stack) == 1 or stack[-2][0] == "scope"):
-                    body_idents.update(IDENT_RE.findall(code[body_start:i]))
+                    body_idents.update(
+                        n for n in IDENT_RE.findall(code[body_start:i])
+                        if n != stack[-1][1])
                 stack.pop()
             start = i + 1
         elif c == ";" and not in_body:
