@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the library's hot paths: Laplace
 // sampling, Morton index construction, PrivTree construction, range
 // queries, the batch-query kernels (grid, AG, tree), PST and n-gram
-// construction.  These are engineering benchmarks (not paper artifacts)
-// used to keep the reproduction fast enough for the paper-scale sweeps.
+// construction, and the tree fits over an index built beforehand.  These
+// are engineering benchmarks (not paper artifacts) used to keep the
+// reproduction fast enough for the paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "hist/grid_kernels.h"
 #include "release/tree_batch.h"
 #include "seq/ngram.h"
+#include "seq/pst_occurrences.h"
 #include "seq/pst_privtree.h"
 #include "spatial/morton_index.h"
 #include "spatial/spatial_histogram.h"
@@ -75,6 +77,28 @@ void BM_PrivTreeBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PrivTreeBuild)->Arg(10000)->Arg(100000);
+
+// The fit a served tenant runs once its Morton index exists: the index is
+// built outside the timed loop, as release::Dataset keeps it.  Arg: point
+// count of the road-like data (163,416 is the servebench road size).
+void BM_PrivTreeFitOnIndex(benchmark::State& state) {
+  Rng data_rng(4);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const PointSet points = GenerateRoadLike(n, data_rng);
+  const MortonIndex index(points, Box::UnitCube(2));
+  Rng rng(5);
+  for (auto _ : state) {
+    const auto hist =
+        BuildPrivTreeHistogram(index, Box::UnitCube(2), 1.0, {}, rng);
+    benchmark::DoNotOptimize(hist.tree.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_PrivTreeFitOnIndex)
+    ->Arg(100000)
+    ->Arg(163416)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RangeQuery(benchmark::State& state) {
   Rng data_rng(6);
@@ -204,6 +228,23 @@ BENCHMARK(BM_PrivatePstBuild)
     ->ArgNames({"n", "shape"})
     ->Args({10000, 0})
     ->Args({50000, 0})
+    ->Args({static_cast<std::int64_t>(kMoocCardinality), 1})
+    ->Unit(benchmark::kMillisecond);
+
+// BM_PrivatePstBuild with the layout made outside the timed loop, as a
+// served tenant's fits read it (mooc-like, l⊤ = 50).
+void BM_PrivatePstFitOnIndex(benchmark::State& state) {
+  PrivatePstOptions options;
+  const SequenceDataset data = SequenceShape(state, &options.l_top);
+  const PstOccurrences occurrences(data, options.l_top);
+  Rng rng(9);
+  for (auto _ : state) {
+    const auto result = BuildPrivatePst(occurrences, 1.0, options, rng);
+    benchmark::DoNotOptimize(result.model.size());
+  }
+}
+BENCHMARK(BM_PrivatePstFitOnIndex)
+    ->ArgNames({"n", "shape"})
     ->Args({static_cast<std::int64_t>(kMoocCardinality), 1})
     ->Unit(benchmark::kMillisecond);
 

@@ -90,14 +90,19 @@ class PrivTreeMethod final : public BuiltinMethod {
     RebuildBatchIndex();
   }
 
-  void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
-           Rng& rng) override {
+  /// Counts with the dataset's shared Morton index.
+  void Fit(const Dataset& data, PrivacyBudget& budget, Rng& rng) override {
     PRIVTREE_CHECK(!state_.fitted);
-    state_ = {true, domain.dim(), budget.SpendRemaining()};
-    hist_ = BuildPrivTreeHistogram(points, domain, state_.epsilon_spent,
-                                   options_, rng);
+    state_ = {true, data.domain().dim(), budget.SpendRemaining()};
+    hist_ = BuildPrivTreeHistogram(data.morton_index(), data.domain(),
+                                   state_.epsilon_spent, options_, rng);
     for (double& c : hist_.count) c = QuantizeCount(c, count_quantum_);
     RebuildBatchIndex();
+  }
+
+  void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
+           Rng& rng) override {
+    Fit(Dataset(points, domain), budget, rng);
   }
 
   double Query(const Box& q) const override {
@@ -156,14 +161,19 @@ class SimpleTreeMethod final : public BuiltinMethod {
     RebuildBatchIndex();
   }
 
-  void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
-           Rng& rng) override {
+  /// Counts with the dataset's shared Morton index.
+  void Fit(const Dataset& data, PrivacyBudget& budget, Rng& rng) override {
     PRIVTREE_CHECK(!state_.fitted);
-    state_ = {true, domain.dim(), budget.SpendRemaining()};
-    hist_ = BuildSimpleTreeHistogram(points, domain, state_.epsilon_spent,
-                                     options_, rng);
+    state_ = {true, data.domain().dim(), budget.SpendRemaining()};
+    hist_ = BuildSimpleTreeHistogram(data.morton_index(), data.domain(),
+                                     state_.epsilon_spent, options_, rng);
     for (double& c : hist_.count) c = QuantizeCount(c, count_quantum_);
     RebuildBatchIndex();
+  }
+
+  void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
+           Rng& rng) override {
+    Fit(Dataset(points, domain), budget, rng);
   }
 
   double Query(const Box& q) const override {

@@ -3,7 +3,11 @@
 #include <utility>
 
 #include "core/byteio.h"
+#include "core/sync.h"
 #include "dp/check.h"
+#include "obs/metrics.h"
+#include "seq/pst_occurrences.h"
+#include "spatial/morton_index.h"
 
 namespace privtree::release {
 
@@ -20,7 +24,29 @@ constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kKindTag[] = {0x53504154'49414C00ULL,   // spatial
                                       0x53455155'454E4345ULL};  // sequence
 
+/// Bytes of the fit indexes every live Dataset slot retains.
+obs::Gauge& IndexBytesGauge() {
+  static obs::Gauge& g =
+      obs::Registry::Global().GetGauge("dataset.index_bytes");
+  return g;
+}
+
 }  // namespace
+
+/// The fit indexes of one dataset, shared by all copies of its Dataset.
+/// Built under `mu`, so concurrent first fits build each index once.
+struct Dataset::IndexSlot {
+  IndexSlot() { IndexBytesGauge(); }  // Listed in the stats from the start.
+  ~IndexSlot() {
+    MutexLock lk(mu);
+    if (morton) IndexBytesGauge().Sub(morton->MemoryBytes());
+    if (layout) IndexBytesGauge().Sub(layout->MemoryBytes());
+  }
+
+  Mutex mu;
+  std::unique_ptr<const MortonIndex> morton GUARDED_BY(mu);
+  std::shared_ptr<const PstOccurrences> layout GUARDED_BY(mu);
+};
 
 std::string_view DatasetKindName(DatasetKind kind) {
   return kind == DatasetKind::kSpatial ? "spatial" : "sequence";
@@ -29,12 +55,15 @@ std::string_view DatasetKindName(DatasetKind kind) {
 Dataset::Dataset(const PointSet& points, Box domain)
     : kind_(DatasetKind::kSpatial),
       points_(&points),
-      domain_(std::move(domain)) {
+      domain_(std::move(domain)),
+      index_(std::make_shared<IndexSlot>()) {
   PRIVTREE_CHECK_EQ(points.dim(), domain_.dim());
 }
 
 Dataset::Dataset(const SequenceDataset& sequences)
-    : kind_(DatasetKind::kSequence), sequences_(&sequences) {
+    : kind_(DatasetKind::kSequence),
+      sequences_(&sequences),
+      index_(std::make_shared<IndexSlot>()) {
   PRIVTREE_CHECK_GE(sequences.alphabet_size(), 1u);
 }
 
@@ -51,6 +80,32 @@ const Box& Dataset::domain() const {
 const SequenceDataset& Dataset::sequences() const {
   PRIVTREE_CHECK(is_sequence());
   return *sequences_;
+}
+
+const MortonIndex& Dataset::morton_index() const {
+  PRIVTREE_CHECK(is_spatial());
+  MutexLock lk(index_->mu);
+  if (!index_->morton) {
+    index_->morton = std::make_unique<const MortonIndex>(*points_, domain_);
+    IndexBytesGauge().Add(index_->morton->MemoryBytes());
+  }
+  return *index_->morton;  // Never replaced, so it outlives the lock.
+}
+
+std::shared_ptr<const PstOccurrences> Dataset::occurrences(
+    std::size_t l_top) const {
+  PRIVTREE_CHECK(is_sequence());
+  MutexLock lk(index_->mu);
+  std::shared_ptr<const PstOccurrences>& layout = index_->layout;
+  if (!layout || layout->l_top() != l_top) {
+    // Release the old layout before building the new one; fits still
+    // reading it hold their own reference.
+    if (layout) IndexBytesGauge().Sub(layout->MemoryBytes());
+    layout.reset();
+    layout = std::make_shared<const PstOccurrences>(*sequences_, l_top);
+    IndexBytesGauge().Add(layout->MemoryBytes());
+  }
+  return layout;
 }
 
 std::size_t Dataset::size() const {

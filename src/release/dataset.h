@@ -9,8 +9,20 @@
 //
 // A Dataset is a cheap value: it stores a pointer to the caller's data
 // (which must outlive every use, exactly as the previous `const PointSet&`
-// contracts required) plus, for spatial data, a copy of the declared
-// domain box.
+// contracts required), for spatial data a copy of the declared domain box,
+// and a pointer to one index slot that every copy shares.
+//
+// The index slot holds what the tree builders count with, built the first
+// time a fit asks for it and then read by every later or concurrent fit
+// through any copy: the MortonIndex of (points, domain) for privtree and
+// simpletree (16 bytes per point), and the PstOccurrences layout of the
+// last l⊤ fitted for pst_privtree and ngram (2 bytes per padded symbol).
+// A fit with another l⊤ builds its own layout and swaps it in; fits still
+// running keep theirs through shared_ptr, so the slot retains at most one
+// layout however a client cycles l⊤.  The slot dies with the last copy of
+// its Dataset, so a serving tenant keeps its indexes for as long as its
+// engine lives.  The process-wide gauge `dataset.index_bytes` counts the
+// bytes every live slot retains.
 //
 // Fingerprints are *domain-separated by kind*: the digest mixes a per-kind
 // tag on top of the content words, so a sequence dataset and a spatial
@@ -22,11 +34,17 @@
 #define PRIVTREE_RELEASE_DATASET_H_
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 
 #include "seq/sequence.h"
 #include "spatial/box.h"
 #include "spatial/point_set.h"
+
+namespace privtree {
+class MortonIndex;     // spatial/morton_index.h
+class PstOccurrences;  // seq/pst_occurrences.h
+}  // namespace privtree
 
 namespace privtree::release {
 
@@ -60,6 +78,16 @@ class Dataset {
   /// Sequence accessor; aborts unless is_sequence().
   const SequenceDataset& sequences() const;
 
+  /// The Morton index of (points, domain), built by the first caller on
+  /// any copy; it lives as long as the last copy.  Aborts unless
+  /// is_spatial().
+  const MortonIndex& morton_index() const;
+
+  /// The sequences laid out at length cap `l_top`: the slot's layout when
+  /// it has that l⊤, else a new one that replaces it.  Aborts unless
+  /// is_sequence().
+  std::shared_ptr<const PstOccurrences> occurrences(std::size_t l_top) const;
+
   /// Records in the dataset (points or sequences).
   std::size_t size() const;
 
@@ -86,6 +114,8 @@ class Dataset {
   const PointSet* points_ = nullptr;
   Box domain_;  // Meaningful for spatial datasets only.
   const SequenceDataset* sequences_ = nullptr;
+  struct IndexSlot;
+  std::shared_ptr<IndexSlot> index_;  // Shared by every copy.
 };
 
 }  // namespace privtree::release

@@ -128,12 +128,13 @@ class PstPrivTreeMethod final : public SequenceMethodBase {
     PRIVTREE_CHECK(data.is_sequence());
     state_ = {true, data.sequences().alphabet_size(),
               budget.SpendRemaining()};
-    // The builder truncates at l⊤ while it lays out its index, and
-    // truncating twice is the identity, so fitting pre-truncated data
-    // matches the direct BuildPrivatePst path bit for bit.
-    model_.emplace(BuildPrivatePst(data.sequences(), state_.epsilon_spent,
-                                   options_, rng)
-                       .model);
+    // The dataset's layout truncates at l⊤, and truncating twice is the
+    // identity, so fitting pre-truncated data matches the direct
+    // BuildPrivatePst path bit for bit.
+    const auto occurrences = data.occurrences(options_.l_top);
+    model_.emplace(
+        BuildPrivatePst(*occurrences, state_.epsilon_spent, options_, rng)
+            .model);
   }
 
   std::vector<double> QueryBatch(
@@ -208,7 +209,8 @@ class NgramMethod final : public SequenceMethodBase {
     PRIVTREE_CHECK(data.is_sequence());
     state_ = {true, data.sequences().alphabet_size(),
               budget.SpendRemaining()};
-    model_.emplace(data.sequences(), state_.epsilon_spent, options_, rng);
+    model_.emplace(*data.occurrences(options_.l_top), state_.epsilon_spent,
+                   options_, rng);
   }
 
   std::vector<double> QueryBatch(

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <deque>
+#include <ranges>
 #include <string>
 #include <utility>
 
 #include "dp/check.h"
 #include "dp/distributions.h"
-#include "seq/pst_occurrences.h"
 
 namespace privtree {
 
@@ -17,10 +17,10 @@ namespace {
 /// padded array) by the symbol `shift` places on, appending them to `out`;
 /// child c gets (*out)[bounds[c], bounds[c+1]).  Postings whose next symbol
 /// is $ — past the end of their sequence, the trailing sentinel included —
-/// are dropped.
+/// are dropped, so the unigrams are every offset refined at shift 0.
+template <typename Grams>
 std::vector<std::uint32_t> RefineGrams(const PstOccurrences& index,
-                                       std::span<const std::uint32_t> grams,
-                                       std::size_t shift,
+                                       const Grams& grams, std::size_t shift,
                                        std::vector<std::uint32_t>* out) {
   const std::size_t beta = index.fanout();
   const Symbol* padded = index.padded().data();
@@ -45,11 +45,14 @@ std::vector<std::uint32_t> RefineGrams(const PstOccurrences& index,
 
 NgramModel::NgramModel(const SequenceDataset& data, double epsilon,
                        const NgramOptions& options, Rng& rng)
-    : alphabet_size_(data.alphabet_size()) {
+    : NgramModel(PstOccurrences(data, options.l_top), epsilon, options, rng) {}
+
+NgramModel::NgramModel(const PstOccurrences& index, double epsilon,
+                       const NgramOptions& options, Rng& rng)
+    : alphabet_size_(index.alphabet_size()) {
   PRIVTREE_CHECK_GT(epsilon, 0.0);
   PRIVTREE_CHECK_GE(options.n_max, 1u);
-  PRIVTREE_CHECK_GE(options.l_top, 1u);
-  const PstOccurrences index(data, options.l_top);
+  PRIVTREE_CHECK_EQ(index.l_top(), options.l_top);
   const std::size_t beta = index.fanout();
 
   const double scale = static_cast<double>(options.l_top) *
@@ -68,11 +71,11 @@ NgramModel::NgramModel(const SequenceDataset& data, double epsilon,
   std::deque<Pending> queue;
   // Postings of the grams of length `level` and of the level below it; the
   // queue visits levels in order, so only these two are ever live.  Each
-  // holds every root posting at most once.
+  // holds every predicted position at most once.
   std::vector<std::uint32_t> current;
   std::vector<std::uint32_t> next;
-  current.reserve(index.root_postings().size());
-  next.reserve(index.root_postings().size());
+  current.reserve(index.predicted_positions());
+  next.reserve(index.predicted_positions());
   std::size_t level = 1;
 
   // Appends the beta children of `parent` (gram length `child_level`),
@@ -91,7 +94,9 @@ NgramModel::NgramModel(const SequenceDataset& data, double epsilon,
 
   // Level 1: all unigrams (including &), by the symbol at each predicted
   // position.
-  add_children(0, 1, RefineGrams(index, index.root_postings(), 0, &current));
+  const auto offsets = std::views::iota(
+      std::uint32_t{0}, static_cast<std::uint32_t>(index.padded().size()));
+  add_children(0, 1, RefineGrams(index, offsets, 0, &current));
 
   while (!queue.empty()) {
     const Pending pending = queue.front();

@@ -20,6 +20,7 @@
 #include "dp/rng.h"
 #include "dp/status.h"
 #include "seq/model.h"
+#include "seq/pst_occurrences.h"
 #include "seq/sequence.h"
 
 namespace privtree {
@@ -41,6 +42,12 @@ class NgramModel : public SequenceModel {
  public:
   /// Builds the ε-DP n-gram model over `data` truncated at l⊤.
   NgramModel(const SequenceDataset& data, double epsilon,
+             const NgramOptions& options, Rng& rng);
+
+  /// The same build over a layout already made at options.l_top, which
+  /// may be shared with concurrent builds (release::Dataset keeps one per
+  /// dataset); bit for bit what the constructor above releases.
+  NgramModel(const PstOccurrences& index, double epsilon,
              const NgramOptions& options, Rng& rng);
 
   std::size_t alphabet_size() const override { return alphabet_size_; }

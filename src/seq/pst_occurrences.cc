@@ -1,13 +1,61 @@
 #include "seq/pst_occurrences.h"
 
 #include <algorithm>
+#include <ranges>
 
 #include "dp/check.h"
 
 namespace privtree {
 
+namespace {
+
+/// The counting sort behind Refine and RefineRoot.  The root passes run
+/// over every offset of the array and skip the $s, which are the only
+/// offsets that are not predicted positions.
+template <bool kRoot, typename Postings>
+void RefineByPrecedingSymbol(const Symbol* padded, std::size_t alphabet_size,
+                             const Postings& parent, std::size_t back,
+                             std::vector<std::uint32_t>* out,
+                             std::vector<std::uint32_t>* bounds,
+                             std::vector<std::uint32_t>* child_hists) {
+  const std::size_t beta = alphabet_size + 1;
+  const Symbol dollar = static_cast<Symbol>(alphabet_size + 1);
+  // The preceding symbol is a regular symbol or $ — never &, which only
+  // ends a sequence — so min() maps $ to child alphabet_size.
+  const auto child_of = [&](std::uint32_t g) -> std::size_t {
+    return std::min<std::size_t>(padded[g - back], alphabet_size);
+  };
+
+  bounds->assign(beta + 1, 0);
+  child_hists->assign(beta * beta, 0);
+  std::uint32_t* count = bounds->data() + 1;
+  std::uint32_t* hists = child_hists->data();
+  for (const std::uint32_t g : parent) {
+    if constexpr (kRoot) {
+      if (padded[g] == dollar) continue;
+    }
+    const std::size_t c = child_of(g);
+    ++count[c];
+    ++hists[c * beta + padded[g]];
+  }
+  // Prefix sums from the end of `out` turn the counts into child bounds.
+  (*bounds)[0] = static_cast<std::uint32_t>(out->size());
+  for (std::size_t c = 1; c <= beta; ++c) (*bounds)[c] += (*bounds)[c - 1];
+  out->resize((*bounds)[beta]);
+  std::vector<std::uint32_t> next(bounds->begin(), bounds->end() - 1);
+  std::uint32_t* dst = out->data();
+  for (const std::uint32_t g : parent) {
+    if constexpr (kRoot) {
+      if (padded[g] == dollar) continue;
+    }
+    dst[next[child_of(g)]++] = g;
+  }
+}
+
+}  // namespace
+
 PstOccurrences::PstOccurrences(const SequenceDataset& data, std::size_t l_top)
-    : alphabet_size_(data.alphabet_size()) {
+    : alphabet_size_(data.alphabet_size()), l_top_(l_top) {
   PRIVTREE_CHECK_GE(l_top, 1u);
   // $ is alphabet_size + 1, so it must still fit a Symbol.
   PRIVTREE_CHECK_LT(alphabet_size_ + 1,
@@ -27,30 +75,21 @@ PstOccurrences::PstOccurrences(const SequenceDataset& data, std::size_t l_top)
   }
   // Every offset, the sentinel's included, is a u32.
   PRIVTREE_CHECK_LE(total, std::size_t{0xffffffff});
+  predicted_positions_ = total - 1 - data.size();
   padded_.reserve(total);
-  root_.reserve(total - 1 - data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
     padded_.push_back(dollar_code());
     const auto s = data.sequence(i).first(kept(i));
-    for (const Symbol x : s) {
-      root_.push_back(static_cast<std::uint32_t>(padded_.size()));
-      padded_.push_back(x);
-    }
-    if (ends(i)) {
-      root_.push_back(static_cast<std::uint32_t>(padded_.size()));
-      padded_.push_back(end_code());
-    }
+    padded_.insert(padded_.end(), s.begin(), s.end());
+    if (ends(i)) padded_.push_back(end_code());
   }
   padded_.push_back(dollar_code());
 }
 
-std::vector<double> PstOccurrences::HistOf(
-    std::span<const std::uint32_t> postings) const {
+std::vector<double> PstOccurrences::RootHist() const {
   std::vector<double> hist(fanout(), 0.0);
-  for (const std::uint32_t g : postings) {
-    const Symbol x = padded_[g];
-    PRIVTREE_CHECK_LE(x, end_code());
-    hist[x] += 1.0;
+  for (const Symbol x : padded_) {
+    if (x != dollar_code()) hist[x] += 1.0;
   }
   return hist;
 }
@@ -60,41 +99,28 @@ void PstOccurrences::Refine(std::span<const std::uint32_t> parent,
                             std::vector<std::uint32_t>* out,
                             std::vector<std::uint32_t>* bounds,
                             std::vector<std::uint32_t>* child_hists) const {
-  const std::size_t beta = fanout();
-  const std::size_t back = predictor_len + 1;
-  const Symbol* padded = padded_.data();
-  // The preceding symbol is a regular symbol or $ — never &, which only
-  // ends a sequence — so min() maps $ to child alphabet_size.
-  const auto child_of = [&](std::uint32_t g) -> std::size_t {
-    return std::min<std::size_t>(padded[g - back], alphabet_size_);
-  };
+  RefineByPrecedingSymbol</*kRoot=*/false>(padded_.data(), alphabet_size_,
+                                           parent, predictor_len + 1, out,
+                                           bounds, child_hists);
+}
 
-  bounds->assign(beta + 1, 0);
-  child_hists->assign(beta * beta, 0);
-  std::uint32_t* count = bounds->data() + 1;
-  std::uint32_t* hists = child_hists->data();
-  for (const std::uint32_t g : parent) {
-    const std::size_t c = child_of(g);
-    ++count[c];
-    ++hists[c * beta + padded[g]];
-  }
-  // Prefix sums from the end of `out` turn the counts into child bounds.
-  (*bounds)[0] = static_cast<std::uint32_t>(out->size());
-  for (std::size_t c = 1; c <= beta; ++c) (*bounds)[c] += (*bounds)[c - 1];
-  out->resize((*bounds)[beta]);
-  std::vector<std::uint32_t> next(bounds->begin(), bounds->end() - 1);
-  std::uint32_t* dst = out->data();
-  for (const std::uint32_t g : parent) dst[next[child_of(g)]++] = g;
+void PstOccurrences::RefineRoot(std::vector<std::uint32_t>* out,
+                                std::vector<std::uint32_t>* bounds,
+                                std::vector<std::uint32_t>* child_hists) const {
+  const auto offsets = std::views::iota(
+      std::uint32_t{0}, static_cast<std::uint32_t>(padded_.size()));
+  RefineByPrecedingSymbol</*kRoot=*/true>(padded_.data(), alphabet_size_,
+                                          offsets, /*back=*/1, out, bounds,
+                                          child_hists);
 }
 
 PstGrowth::PstGrowth(const PstOccurrences& occurrences)
     : occurrences_(occurrences), model_(occurrences.alphabet_size()) {
   model_.AddRoot();
-  model_.mutable_node(model_.root()).hist =
-      occurrences_.HistOf(occurrences_.root_postings());
+  model_.mutable_node(model_.root()).hist = occurrences_.RootHist();
   // A level holds at most every root posting once; sizing both level
   // buffers up front keeps refinement from growing them a level at a time.
-  const std::size_t total = occurrences_.root_postings().size();
+  const std::size_t total = occurrences_.predicted_positions();
   ranges_.push_back({0, static_cast<std::uint32_t>(total)});
   current_.reserve(total);
   next_.reserve(total);
@@ -116,12 +142,14 @@ NodeId PstGrowth::Split(NodeId id) {
     next_.clear();
     level_ = depth;
   }
-  const std::span<const std::uint32_t> level =
-      level_ == 0 ? occurrences_.root_postings()
-                  : std::span<const std::uint32_t>(current_);
-  const Range range = ranges_[static_cast<std::size_t>(id)];
-  occurrences_.Refine(level.subspan(range.begin, range.end - range.begin),
-                      depth, &next_, &bounds_, &child_hists_);
+  if (level_ == 0) {
+    occurrences_.RefineRoot(&next_, &bounds_, &child_hists_);
+  } else {
+    const Range range = ranges_[static_cast<std::size_t>(id)];
+    occurrences_.Refine(std::span<const std::uint32_t>(current_).subspan(
+                            range.begin, range.end - range.begin),
+                        depth, &next_, &bounds_, &child_hists_);
+  }
 
   const NodeId first = model_.SplitNode(id);
   const std::size_t beta = model_.fanout();

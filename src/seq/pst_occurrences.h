@@ -13,7 +13,14 @@
 // with predictor w, its postings are the "predicted positions" g whose |w|
 // preceding symbols equal w; the node's prediction histogram counts
 // padded[g].  Every offset, including the sentinel, must fit a u32; that
-// one total is checked when the index is built.
+// one total is checked when the index is built.  The root's postings are
+// every offset whose symbol is not $, so they are not stored: the root
+// histogram and the root split scan the array in offset order instead,
+// which yields the same postings in the same order.  The index is thus
+// the array alone, 2 bytes per padded symbol, and depends only on the
+// dataset and l⊤: release::Dataset keeps one and every fit of that l⊤
+// reads it (the per-fit postings live in PstGrowth and the n-gram
+// builder).
 //
 // Refinement.  A child prepends one symbol to its parent's predictor, so
 // the child postings are the parent's, counting-sorted by the symbol
@@ -38,7 +45,7 @@
 
 namespace privtree {
 
-/// The flat padded-symbol array and root postings of one dataset.
+/// The flat padded-symbol array of one dataset at one length cap.
 class PstOccurrences {
  public:
   /// No length cap: every sequence is laid out whole.
@@ -50,6 +57,8 @@ class PstOccurrences {
                           std::size_t l_top = kNoLengthCap);
 
   std::size_t alphabet_size() const { return alphabet_size_; }
+  /// The length cap the layout was built with.
+  std::size_t l_top() const { return l_top_; }
   /// Fanout β = alphabet_size + 1 (children and histogram slots alike).
   std::size_t fanout() const { return alphabet_size_ + 1; }
   /// The code of & in padded(), which is also its histogram slot.
@@ -62,11 +71,16 @@ class PstOccurrences {
   /// The padded sequences plus the trailing $ sentinel.
   std::span<const Symbol> padded() const { return padded_; }
 
-  /// Every predicted position (all offsets except the $s), in order.
-  std::span<const std::uint32_t> root_postings() const { return root_; }
+  /// Bytes the layout holds: 2 per padded symbol.
+  std::size_t MemoryBytes() const { return padded_.size() * sizeof(Symbol); }
 
-  /// The prediction histogram (size fanout()) of a posting list.
-  std::vector<double> HistOf(std::span<const std::uint32_t> postings) const;
+  /// The root's postings: every predicted position (all offsets except
+  /// the $s).
+  std::size_t predicted_positions() const { return predicted_positions_; }
+
+  /// The root's prediction histogram (size fanout()): the count of each
+  /// symbol over every predicted position.
+  std::vector<double> RootHist() const;
 
   /// Counting-sorts `parent` — the postings of a predictor of length
   /// `predictor_len` that does not start with $ — by preceding symbol and
@@ -78,15 +92,24 @@ class PstOccurrences {
               std::vector<std::uint32_t>* bounds,
               std::vector<std::uint32_t>* child_hists) const;
 
+  /// Refine applied to the root (the empty predictor), whose postings are
+  /// every predicted position in offset order.
+  void RefineRoot(std::vector<std::uint32_t>* out,
+                  std::vector<std::uint32_t>* bounds,
+                  std::vector<std::uint32_t>* child_hists) const;
+
  private:
   std::size_t alphabet_size_;
+  std::size_t l_top_;
+  std::size_t predicted_positions_ = 0;
   std::vector<Symbol> padded_;
-  std::vector<std::uint32_t> root_;
 };
 
 /// Grows a PstModel breadth first over a PstOccurrences index, with the
 /// exact prediction histogram on every node.  Only two tree levels of
 /// postings are live at a time: the level being split and the next one.
+/// The postings are per growth; the PstOccurrences it reads may be shared
+/// by any number of concurrent growths.
 class PstGrowth {
  public:
   /// Creates the root.  `occurrences` must outlive the growth.

@@ -7,7 +7,6 @@
 #include "dp/budget.h"
 #include "dp/check.h"
 #include "dp/distributions.h"
-#include "seq/pst_occurrences.h"
 
 namespace privtree {
 
@@ -64,9 +63,16 @@ class PstPolicy {
 
 PrivatePstResult BuildPrivatePst(const SequenceDataset& data, double epsilon,
                                  const PrivatePstOptions& options, Rng& rng) {
+  return BuildPrivatePst(PstOccurrences(data, options.l_top), epsilon,
+                         options, rng);
+}
+
+PrivatePstResult BuildPrivatePst(const PstOccurrences& occurrences,
+                                 double epsilon,
+                                 const PrivatePstOptions& options, Rng& rng) {
   PRIVTREE_CHECK_GT(epsilon, 0.0);
-  PRIVTREE_CHECK_GE(options.l_top, 1u);
-  const std::size_t beta = data.alphabet_size() + 1;
+  PRIVTREE_CHECK_EQ(occurrences.l_top(), options.l_top);
+  const std::size_t beta = occurrences.fanout();
 
   PrivacyBudget budget(epsilon);
   const double tree_fraction = options.tree_budget_fraction > 0.0
@@ -75,7 +81,6 @@ PrivatePstResult BuildPrivatePst(const SequenceDataset& data, double epsilon,
   const double tree_epsilon = budget.SpendFraction(tree_fraction);
   const double count_epsilon = budget.SpendRemaining();
 
-  const PstOccurrences occurrences(data, options.l_top);
   PstPolicy policy(occurrences, options.l_top);
 
   PrivTreeParams params = PrivTreeParams::ForEpsilon(

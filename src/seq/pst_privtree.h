@@ -23,6 +23,7 @@
 #include "core/privtree.h"
 #include "dp/rng.h"
 #include "seq/pst.h"
+#include "seq/pst_occurrences.h"
 #include "seq/sequence.h"
 
 namespace privtree {
@@ -47,6 +48,13 @@ struct PrivatePstResult {
 
 /// Builds an ε-differentially private PST over `data`.
 PrivatePstResult BuildPrivatePst(const SequenceDataset& data, double epsilon,
+                                 const PrivatePstOptions& options, Rng& rng);
+
+/// The same build over a layout already made at options.l_top, which may
+/// be shared with concurrent builds (release::Dataset keeps one per
+/// dataset); bit for bit what the overload above releases.
+PrivatePstResult BuildPrivatePst(const PstOccurrences& occurrences,
+                                 double epsilon,
                                  const PrivatePstOptions& options, Rng& rng);
 
 }  // namespace privtree

@@ -399,8 +399,7 @@ AsyncEngine::StatsSnapshot AsyncEngine::Stats() const {
     MutexLock lk(watch_mu_);
     watchdog_fired = watchdog_fired_;
   }
-  return {queue_.depth(), queue_.max_depth(), watchdog_fired,
-          admission_.stats(), cache_.stats()};
+  return {watchdog_fired, admission_.stats(), cache_.stats()};
 }
 
 }  // namespace privtree::server

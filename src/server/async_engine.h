@@ -64,8 +64,6 @@ class AsyncEngine {
   /// (privtree_server prints it at shutdown; GetStats reads the same
   /// counts from the metrics registry).
   struct StatsSnapshot {
-    std::size_t queue_depth = 0;
-    std::size_t queue_max_depth = 0;
     /// Running requests the watchdog failed with DeadlineExceeded.
     std::size_t watchdog_fired = 0;
     AdmissionController::Stats admission;

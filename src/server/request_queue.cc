@@ -46,9 +46,4 @@ bool RequestQueue::TryPop(QueuedRequest* request) {
   return true;
 }
 
-std::size_t RequestQueue::depth() const {
-  MutexLock lk(mu_);
-  return queue_.size();
-}
-
 }  // namespace privtree::server

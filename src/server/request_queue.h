@@ -46,12 +46,11 @@ class RequestQueue {
   /// Dequeues the oldest request; false when empty.
   bool TryPop(QueuedRequest* request);
 
-  std::size_t depth() const;
   std::size_t max_depth() const { return max_depth_; }
 
  private:
   const std::size_t max_depth_;
-  mutable Mutex mu_;
+  Mutex mu_;
   std::deque<QueuedRequest> queue_ GUARDED_BY(mu_);
 };
 

@@ -58,6 +58,8 @@ class MortonIndex {
   /// Total usable prefix bits (d · L).
   int max_prefix_bits() const { return max_prefix_bits_; }
   std::size_t size() const { return keys_.size(); }
+  /// Bytes the sorted keys hold: 16 per point.
+  std::size_t MemoryBytes() const { return keys_.size() * sizeof(MortonKey); }
 
   /// The first position in [begin, end) of the sorted keys whose key is
   /// not below the cell (prefix, bits)'s first key; `end` if none.

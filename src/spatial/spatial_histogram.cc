@@ -7,7 +7,6 @@
 #include "dp/budget.h"
 #include "dp/check.h"
 #include "dp/distributions.h"
-#include "spatial/morton_index.h"
 
 namespace privtree {
 
@@ -60,14 +59,22 @@ SpatialHistogram BuildPrivTreeHistogram(const PointSet& points,
                                         const Box& domain, double epsilon,
                                         const PrivTreeHistogramOptions& options,
                                         Rng& rng) {
+  return BuildPrivTreeHistogram(MortonIndex(points, domain), domain, epsilon,
+                                options, rng);
+}
+
+SpatialHistogram BuildPrivTreeHistogram(const MortonIndex& index,
+                                        const Box& domain, double epsilon,
+                                        const PrivTreeHistogramOptions& options,
+                                        Rng& rng) {
   PRIVTREE_CHECK_GT(epsilon, 0.0);
+  PRIVTREE_CHECK_EQ(index.dim(), domain.dim());
   PRIVTREE_CHECK_GT(options.tree_budget_fraction, 0.0);
   PRIVTREE_CHECK_LT(options.tree_budget_fraction, 1.0);
   const int dims_per_split =
       options.dims_per_split > 0 ? options.dims_per_split
                                  : static_cast<int>(domain.dim());
 
-  MortonIndex index(points, domain);
   QuadtreePolicy policy(index, domain, dims_per_split);
 
   PrivacyBudget budget(epsilon);
@@ -98,12 +105,19 @@ SpatialHistogram BuildPrivTreeHistogram(const PointSet& points,
 SpatialHistogram BuildSimpleTreeHistogram(
     const PointSet& points, const Box& domain, double epsilon,
     const SimpleTreeHistogramOptions& options, Rng& rng) {
+  return BuildSimpleTreeHistogram(MortonIndex(points, domain), domain,
+                                  epsilon, options, rng);
+}
+
+SpatialHistogram BuildSimpleTreeHistogram(
+    const MortonIndex& index, const Box& domain, double epsilon,
+    const SimpleTreeHistogramOptions& options, Rng& rng) {
   PRIVTREE_CHECK_GT(epsilon, 0.0);
+  PRIVTREE_CHECK_EQ(index.dim(), domain.dim());
   const int dims_per_split =
       options.dims_per_split > 0 ? options.dims_per_split
                                  : static_cast<int>(domain.dim());
 
-  MortonIndex index(points, domain);
   QuadtreePolicy policy(index, domain, dims_per_split);
 
   SimpleTreeParams params =

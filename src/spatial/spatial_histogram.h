@@ -21,6 +21,7 @@
 #include "core/tree.h"
 #include "dp/rng.h"
 #include "spatial/box.h"
+#include "spatial/morton_index.h"
 #include "spatial/point_set.h"
 #include "spatial/quadtree_policy.h"
 
@@ -57,6 +58,14 @@ SpatialHistogram BuildPrivTreeHistogram(const PointSet& points,
                                         const PrivTreeHistogramOptions& options,
                                         Rng& rng);
 
+/// The same build over an index already made of (points, domain), which
+/// may be shared with concurrent builds (release::Dataset keeps one per
+/// dataset); bit for bit what the overload above releases.
+SpatialHistogram BuildPrivTreeHistogram(const MortonIndex& index,
+                                        const Box& domain, double epsilon,
+                                        const PrivTreeHistogramOptions& options,
+                                        Rng& rng);
+
 /// Options for BuildSimpleTreeHistogram.
 struct SimpleTreeHistogramOptions {
   int dims_per_split = 0;       ///< As above.
@@ -67,6 +76,11 @@ struct SimpleTreeHistogramOptions {
 /// Builds the Algorithm 1 baseline histogram (λ = h/ε).
 SpatialHistogram BuildSimpleTreeHistogram(
     const PointSet& points, const Box& domain, double epsilon,
+    const SimpleTreeHistogramOptions& options, Rng& rng);
+
+/// The same build over an index already made of (points, domain).
+SpatialHistogram BuildSimpleTreeHistogram(
+    const MortonIndex& index, const Box& domain, double epsilon,
     const SimpleTreeHistogramOptions& options, Rng& rng);
 
 }  // namespace privtree

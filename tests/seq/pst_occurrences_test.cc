@@ -1,7 +1,10 @@
 // The flat posting index against a naive reference implementation: for
 // random datasets and random predictor strings, both the histograms Refine
-// counts and HistOf over the child postings it sorts must equal a direct
-// scan counting "occurrences of the predictor followed by each symbol".
+// counts and those of the child postings it sorts must equal a direct scan
+// counting "occurrences of the predictor followed by each symbol".
+// The root's postings are not stored; RootHist and RefineRoot scan the
+// padded array, and must equal naive counting and Refine over the offsets
+// of every non-$ symbol in order.
 #include "seq/pst_occurrences.h"
 
 #include <gtest/gtest.h>
@@ -55,6 +58,32 @@ std::vector<double> NaiveHist(const SequenceDataset& data,
   return hist;
 }
 
+/// The prediction histogram of a posting list: the count of each symbol
+/// at the listed offsets.
+std::vector<double> HistOf(const PstOccurrences& occurrences,
+                           std::span<const std::uint32_t> postings) {
+  std::vector<double> hist(occurrences.fanout(), 0.0);
+  for (const std::uint32_t g : postings) {
+    const Symbol x = occurrences.padded()[g];
+    EXPECT_LE(x, occurrences.end_code());
+    if (x < hist.size()) hist[x] += 1.0;
+  }
+  return hist;
+}
+
+/// The root's postings as the layout used to store them: every offset
+/// whose symbol is not $, in order.
+std::vector<std::uint32_t> RootPostings(const PstOccurrences& occurrences) {
+  std::vector<std::uint32_t> root;
+  const auto padded = occurrences.padded();
+  for (std::size_t g = 0; g < padded.size(); ++g) {
+    if (padded[g] != occurrences.dollar_code()) {
+      root.push_back(static_cast<std::uint32_t>(g));
+    }
+  }
+  return root;
+}
+
 SequenceDataset RandomData(std::size_t n, std::size_t alphabet,
                            Rng& rng) {
   SequenceDataset data(alphabet);
@@ -85,16 +114,28 @@ TEST_P(PstOccurrencesFuzzTest, RefinementMatchesNaiveCounting) {
     const PstOccurrences occurrences(raw, l_top);
 
     // Walk a random refinement chain up to depth 4, checking every node.
-    std::vector<std::uint32_t> postings(occurrences.root_postings().begin(),
-                                        occurrences.root_postings().end());
+    std::vector<std::uint32_t> postings = RootPostings(occurrences);
+    ASSERT_EQ(postings.size(), occurrences.predicted_positions());
     std::vector<Symbol> predictor;
-    EXPECT_EQ(occurrences.HistOf(postings), NaiveHist(data, predictor));
+    EXPECT_EQ(occurrences.RootHist(), NaiveHist(data, predictor));
+    EXPECT_EQ(HistOf(occurrences, postings), NaiveHist(data, predictor));
     for (int depth = 0; depth < 4; ++depth) {
       std::vector<std::uint32_t> children;
       std::vector<std::uint32_t> bounds;
       std::vector<std::uint32_t> child_hists;
       occurrences.Refine(postings, predictor.size(), &children, &bounds,
                          &child_hists);
+      if (depth == 0) {
+        // The root split scans the array and sorts the same postings in
+        // the same order as Refine over the explicit root postings.
+        std::vector<std::uint32_t> root_children;
+        std::vector<std::uint32_t> root_bounds;
+        std::vector<std::uint32_t> root_hists;
+        occurrences.RefineRoot(&root_children, &root_bounds, &root_hists);
+        EXPECT_EQ(root_children, children);
+        EXPECT_EQ(root_bounds, bounds);
+        EXPECT_EQ(root_hists, child_hists);
+      }
       ASSERT_EQ(bounds.size(), alphabet + 2);
       ASSERT_EQ(child_hists.size(), (alphabet + 1) * (alphabet + 1));
       EXPECT_EQ(bounds.front(), 0u);
@@ -110,7 +151,7 @@ TEST_P(PstOccurrencesFuzzTest, RefinementMatchesNaiveCounting) {
         child_predictor.insert(child_predictor.end(), predictor.begin(),
                                predictor.end());
         const std::vector<double> naive = NaiveHist(data, child_predictor);
-        EXPECT_EQ(occurrences.HistOf(child_postings(c)), naive)
+        EXPECT_EQ(HistOf(occurrences, child_postings(c)), naive)
             << "depth " << depth << " child " << c;
         const auto row = child_hists.begin() +
                          static_cast<std::ptrdiff_t>(c * (alphabet + 1));
@@ -134,22 +175,33 @@ TEST_P(PstOccurrencesFuzzTest, RefinementMatchesNaiveCounting) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PstOccurrencesFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
-TEST(PstOccurrencesTest, RootPostingsCountAllPredictedPositions) {
+TEST(PstOccurrencesTest, RootCountsAllPredictedPositions) {
   SequenceDataset data(2);
   data.Add(std::vector<Symbol>{0, 1});            // 3 positions (incl &).
   data.Add(std::vector<Symbol>{1}, false);        // 1 position (open).
   const PstOccurrences occurrences(data);
-  EXPECT_EQ(occurrences.root_postings().size(), 4u);
+  EXPECT_EQ(occurrences.predicted_positions(), 4u);
+  EXPECT_EQ(occurrences.RootHist(), (std::vector<double>{1.0, 2.0, 1.0}));
 }
 
 TEST(PstOccurrencesTest, EmptySequenceContributesOnlyEndMarker) {
   SequenceDataset data(2);
   data.Add(std::vector<Symbol>{});  // Padded: $&.
   const PstOccurrences occurrences(data);
-  const auto postings = occurrences.root_postings();
-  ASSERT_EQ(postings.size(), 1u);
-  const auto hist = occurrences.HistOf(postings);
+  ASSERT_EQ(occurrences.predicted_positions(), 1u);
+  const auto hist = occurrences.RootHist();
   EXPECT_DOUBLE_EQ(hist[occurrences.end_code()], 1.0);
+  EXPECT_DOUBLE_EQ(hist[0] + hist[1], 0.0);
+}
+
+TEST(PstOccurrencesTest, MemoryBytesAreTwoPerPaddedSymbol) {
+  SequenceDataset data(3);
+  data.Add(std::vector<Symbol>{0, 1, 2});  // $012&.
+  data.Add(std::vector<Symbol>{2}, false);  // $2.
+  const PstOccurrences occurrences(data);
+  EXPECT_EQ(occurrences.padded().size(), 8u);  // Plus the trailing $.
+  EXPECT_EQ(occurrences.MemoryBytes(), 16u);
+  EXPECT_EQ(occurrences.l_top(), PstOccurrences::kNoLengthCap);
 }
 
 TEST(PstOccurrencesTest, LayoutAppliesTheLengthCap) {
@@ -167,10 +219,21 @@ TEST(PstOccurrencesTest, LayoutAppliesTheLengthCap) {
   EXPECT_EQ(std::vector<Symbol>(occurrences.padded().begin(),
                                 occurrences.padded().end()),
             expected);
-  const std::vector<std::uint32_t> root = {1, 2, 4, 5, 7, 8, 10};
-  EXPECT_EQ(std::vector<std::uint32_t>(occurrences.root_postings().begin(),
-                                       occurrences.root_postings().end()),
-            root);
+  EXPECT_EQ(occurrences.l_top(), 2u);
+  // The root's postings are the non-$ offsets; the split sorts them by
+  // the preceding symbol: after 0 → {2, 8}, after 1 → {5}, after $ →
+  // {1, 4, 7, 10}.
+  EXPECT_EQ(RootPostings(occurrences),
+            (std::vector<std::uint32_t>{1, 2, 4, 5, 7, 8, 10}));
+  EXPECT_EQ(occurrences.predicted_positions(), 7u);
+  std::vector<std::uint32_t> children;
+  std::vector<std::uint32_t> bounds;
+  std::vector<std::uint32_t> child_hists;
+  occurrences.RefineRoot(&children, &bounds, &child_hists);
+  EXPECT_EQ(children, (std::vector<std::uint32_t>{2, 8, 5, 1, 4, 7, 10}));
+  EXPECT_EQ(bounds, (std::vector<std::uint32_t>{0, 2, 3, 7}));
+  // Root histogram: symbol 0 twice, 1 three times, & twice.
+  EXPECT_EQ(occurrences.RootHist(), (std::vector<double>{2.0, 3.0, 2.0}));
 }
 
 TEST(PstGrowthDeathTest, SplittingAShallowerNodeLaterAborts) {

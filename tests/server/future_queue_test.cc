@@ -1,6 +1,8 @@
 // The serving primitives under the engine: Promise/Future completion
 // handles (cross-thread set/get, timed waits, abandonment) and the bounded
-// RequestQueue (FIFO order, depth cap, deadline plumbing).
+// RequestQueue (FIFO order, depth cap, deadline plumbing).  Queue depth is
+// read from the process-wide engine.queue_depth gauge, relative to its
+// value before the queue under test was made.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,12 +14,18 @@
 #include <vector>
 
 #include "dp/status.h"
+#include "obs/metrics.h"
 #include "server/future.h"
 #include "server/request.h"
 #include "server/request_queue.h"
 
 namespace privtree::server {
 namespace {
+
+/// The requests waiting in every live RequestQueue.
+std::uint64_t QueueDepth() {
+  return obs::Registry::Global().GetGauge("engine.queue_depth").Value();
+}
 
 /// A minimal response-like payload for the Future tests.
 struct TestValue {
@@ -73,6 +81,7 @@ TEST(FutureTest, DroppedPromiseResolvesWithInternalError) {
 }
 
 TEST(RequestQueueTest, FifoOrderAndDepth) {
+  const std::uint64_t before = QueueDepth();
   RequestQueue queue(4);
   std::vector<int> ran;
   for (int i = 0; i < 3; ++i) {
@@ -81,14 +90,15 @@ TEST(RequestQueueTest, FifoOrderAndDepth) {
     request.expire = [](Status) {};
     EXPECT_TRUE(queue.TryPush(request));
   }
-  EXPECT_EQ(queue.depth(), 3u);
+  EXPECT_EQ(QueueDepth() - before, 3u);
   QueuedRequest popped;
   while (queue.TryPop(&popped)) popped.run();
   EXPECT_EQ(ran, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(queue.depth(), 0u);
+  EXPECT_EQ(QueueDepth(), before);
 }
 
 TEST(RequestQueueTest, RefusesBeyondMaxDepth) {
+  const std::uint64_t before = QueueDepth();
   RequestQueue queue(2);
   QueuedRequest request;
   request.run = [] {};
@@ -110,7 +120,7 @@ TEST(RequestQueueTest, RefusesBeyondMaxDepth) {
 
   QueuedRequest popped;
   EXPECT_TRUE(queue.TryPop(&popped));
-  EXPECT_EQ(queue.depth(), 1u);
+  EXPECT_EQ(QueueDepth() - before, 1u);
 }
 
 TEST(RequestQueueTest, ZeroDepthClampsToOne) {

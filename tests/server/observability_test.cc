@@ -2,7 +2,9 @@
 // handshake and round-trip bit-for-bit, a kTraced wrapper never changes a
 // single reply byte, GetStats returns a JSON snapshot whose counters match
 // the traffic that was actually served, the engine.queue_depth gauge
-// follows the request queues back to 0, and the trace ring records one
+// follows the request queues back to 0, the dataset.index_bytes gauge
+// holds a tenant's Morton index (16 bytes per point) once a tree fit has
+// built it, and the trace ring records one
 // finished trace per request with the spans a query pipeline must have.
 #include <gtest/gtest.h>
 
@@ -249,6 +251,26 @@ TEST_F(ObservabilityFixture, QueueDepthGaugeFollowsTheQueueAndDrainsToZero) {
   ASSERT_TRUE(json.ok()) << json.status().ToString();
   EXPECT_NE(json.value().find("\"engine.queue_depth\":0"), std::string::npos)
       << json.value();
+}
+
+TEST_F(ObservabilityFixture, IndexBytesGaugeHoldsTheTenantsMortonIndex) {
+  auto client = Client::Connect("127.0.0.1", port_);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // Before any tree fit the tenant holds no index; the first privtree fit
+  // builds it, and a second fit with another seed reuses it.
+  ASSERT_TRUE(client.value().Fit({"ug", {}, kEpsilon, 1}).ok());
+  auto json = client.value().GetStatsJson();
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_NE(json.value().find("\"dataset.index_bytes\":0"), std::string::npos)
+      << json.value();
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    ASSERT_TRUE(client.value().Fit({"privtree", {}, kEpsilon, seed}).ok());
+  }
+  json = client.value().GetStatsJson();
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const std::string want =
+      "\"dataset.index_bytes\":" + std::to_string(16 * points_->size());
+  EXPECT_NE(json.value().find(want), std::string::npos) << json.value();
 }
 
 TEST_F(ObservabilityFixture, EveryServedRequestFinishesOneTrace) {
