@@ -184,23 +184,50 @@ void BM_AgQueryBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_AgQueryBatch)->ArgName("path")->Arg(1);
 
-// The structure-of-arrays tree sweep a fitted PrivTree histogram serves
-// its batches with.
+// The tree sweep a fitted PrivTree histogram (ε = 1, default options)
+// serves its batches with.  Arg `shape`: 0 the 40k-point kernel data with
+// its 4,000 boxes; then batches of medium boxes shaped like servebench's
+// query_heavy: 1 road-like (163,416 points) with 1024 boxes, 2 nyc-like
+// 4-d (fanout 16) with 256, 3 the road-like tree with 8 boxes, the fixed
+// cost of a small frame.
 void BM_TreeBatchIndexQuery(benchmark::State& state) {
-  const KernelCase& data = KernelData();
-  Rng fit_rng(0x7EE);
-  const SpatialHistogram hist =
-      BuildPrivTreeHistogram(data.points, Box::UnitCube(2), 1.0, {}, fit_rng);
+  const std::int64_t shape = state.range(0);
+  SpatialHistogram hist;
+  std::vector<Box> queries;
+  if (shape == 0) {
+    Rng fit_rng(0x7EE);
+    hist = BuildPrivTreeHistogram(KernelData().points, Box::UnitCube(2), 1.0,
+                                  {}, fit_rng);
+    queries = KernelData().queries;
+  } else {
+    const bool nyc = shape == 2;
+    const Box domain = Box::UnitCube(nyc ? 4 : 2);
+    Rng data_rng(nyc ? 0x4C : 0x20AD);
+    const PointSet points = nyc ? GenerateNycLike(kNycCardinality, data_rng)
+                                : GenerateRoadLike(kRoadCardinality / 10,
+                                                   data_rng);
+    Rng fit_rng(nyc ? 12 : 11);
+    hist = BuildPrivTreeHistogram(points, domain, 1.0, {}, fit_rng);
+    const std::size_t boxes[] = {0, 1024, 256, 8};
+    const std::uint64_t query_seeds[] = {0, 0xB0C1, 0xB0C5, 0xB0C8};
+    Rng query_rng(query_seeds[shape]);
+    queries = GenerateRangeQueries(domain, boxes[shape], kMediumQueries,
+                                   query_rng);
+  }
   const release::TreeBatchIndex index(
       hist.tree, hist.count,
       [](const SpatialCell& c) -> const Box& { return c.box; });
   for (auto _ : state) {
-    const std::vector<double> answers = index.Query(data.queries);
+    const std::vector<double> answers = index.Query(queries);
     benchmark::DoNotOptimize(answers.data());
   }
-  SetQueriesProcessed(state);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(queries.size()));
 }
-BENCHMARK(BM_TreeBatchIndexQuery);
+BENCHMARK(BM_TreeBatchIndexQuery)
+    ->ArgName("shape")
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMicrosecond);
 
 // Args: sequence count, then the data shape — 0 msnbc-like, 1 mooc-like
 // (the servebench mooc tenant is kMoocCardinality sequences).  The raw

@@ -1,10 +1,14 @@
 // Compile-time SIMD dispatch for the batch-query kernels.
 //
-// The kernels (hist/grid_kernels.cc, release/tree_batch.cc) are written
-// three times — AVX2 (4 doubles/lane-group), SSE2 (2 doubles), and plain
-// scalar — selected here with `#if`, never at runtime: the scalar fallback
-// is bit-for-bit identical to the vector paths (pinned by tests), so a
-// build's answers do not depend on which ISA it was compiled for.
+// The ISA is selected here with `#if`, never at runtime.  The 2-d grid
+// kernel (hist/grid_kernels.cc) is written three times — AVX2 (4 queries
+// per step), SSE2 (2 queries) and plain scalar.  The tree sweep
+// (release/tree_batch.cc) has one child classifier whose loop takes 4
+// children per AVX2 step and 2 per SSE2 step, and finishes the remaining
+// children, or all of them without a vector ISA, in scalar code; its
+// partial-leaf arithmetic is scalar everywhere.  Every path is bit-for-bit
+// identical to the scalar one (pinned by tests/release/kernel_parity_test.cc),
+// so a build's answers do not depend on which ISA it was compiled for.
 //
 // x86-64 always has SSE2, so default builds take the 2-wide path; AVX2
 // engages only when the compiler is told to target it (-mavx2 or

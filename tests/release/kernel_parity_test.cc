@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -248,20 +249,39 @@ std::vector<double> AgReference(const AdaptiveGrid& grid,
 
 /// Random boxes plus the degenerate shapes the kernels must not special-case
 /// differently from the reference: empty intersections, zero-width slabs,
-/// exact domain covers, boxes straddling or outside the domain.
-std::vector<Box> AdversarialQueries(std::size_t n, std::uint64_t seed) {
+/// exact domain covers, boxes straddling or outside the domain.  Above two
+/// dimensions each shape is lifted twice: dimension j repeats the bounds of
+/// dimension j % 2, and the extra dimensions span [0, 1).
+std::vector<Box> AdversarialQueries(std::size_t n, std::uint64_t seed,
+                                    std::size_t dim = 2) {
   Rng rng(seed);
   std::vector<Box> queries =
-      GenerateRangeQueries(Box::UnitCube(2), n, kMediumQueries, rng);
-  queries.push_back(Box::UnitCube(2));                    // Full cover.
-  queries.push_back(Box({0.0, 0.0}, {0.0, 0.0}));         // A point.
-  queries.push_back(Box({0.3, 0.3}, {0.3, 0.9}));         // Zero width.
-  queries.push_back(Box({0.25, 0.9}, {0.75, 0.9}));       // Zero height.
-  queries.push_back(Box({-2.0, -2.0}, {-1.0, -1.0}));     // Disjoint.
-  queries.push_back(Box({-1.0, -1.0}, {2.0, 2.0}));       // Superset.
-  queries.push_back(Box({0.5, -1.0}, {2.0, 0.5}));        // Corner overlap.
-  queries.push_back(Box({0.0, 0.4}, {1.0, 0.6}));         // Full-width band.
-  queries.push_back(Box({1.0, 0.0}, {1.0, 1.0}));         // Upper boundary.
+      GenerateRangeQueries(Box::UnitCube(dim), n, kMediumQueries, rng);
+  const std::vector<Box> shapes = {
+      Box::UnitCube(2),                   // Full cover.
+      Box({0.0, 0.0}, {0.0, 0.0}),        // A point.
+      Box({0.3, 0.3}, {0.3, 0.9}),        // Zero width.
+      Box({0.25, 0.9}, {0.75, 0.9}),      // Zero height.
+      Box({-2.0, -2.0}, {-1.0, -1.0}),    // Disjoint.
+      Box({-1.0, -1.0}, {2.0, 2.0}),      // Superset.
+      Box({0.5, -1.0}, {2.0, 0.5}),       // Corner overlap.
+      Box({0.0, 0.4}, {1.0, 0.6}),        // Full-width band.
+      Box({1.0, 0.0}, {1.0, 1.0}),        // Upper boundary.
+  };
+  for (const Box& shape : shapes) {
+    std::vector<double> lo(dim), hi(dim);
+    for (std::size_t j = 0; j < dim; ++j) {
+      lo[j] = shape.lo(j % 2);
+      hi[j] = shape.hi(j % 2);
+    }
+    queries.emplace_back(lo, hi);
+    if (dim == 2) continue;
+    for (std::size_t j = 2; j < dim; ++j) {
+      lo[j] = 0.0;
+      hi[j] = 1.0;
+    }
+    queries.emplace_back(std::move(lo), std::move(hi));
+  }
   return queries;
 }
 
@@ -322,10 +342,27 @@ TEST(GridKernelParityTest, NonTwoDimensionalGridsKeepTheGenericPath) {
   }
 }
 
+/// Query answers `queries` exactly like the oracle: the same bits.
+template <typename Domain, typename BoxOf>
+void ExpectMatchesOracle(const DecompTree<Domain>& tree,
+                         const std::vector<double>& count,
+                         const release::TreeBatchIndex& index,
+                         std::span<const Box> queries, BoxOf&& box_of) {
+  const std::vector<double> want = BatchQueryTree(tree, count, queries, box_of);
+  const std::vector<double> got = index.Query(queries);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "query " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+const auto kCellBox = [](const SpatialCell& c) -> const Box& { return c.box; };
+
 TEST(TreeBatchIndexParityTest, MatchesTheTemplateSweepOnSpatialTrees) {
   const PointSet points = TestPoints(4000, 0x7EE);
   const std::vector<Box> queries = AdversarialQueries(250, 0x7EE1);
-  const auto box_of = [](const SpatialCell& c) -> const Box& { return c.box; };
 
   Rng privtree_rng(5);
   const SpatialHistogram privtree = BuildPrivTreeHistogram(
@@ -337,15 +374,9 @@ TEST(TreeBatchIndexParityTest, MatchesTheTemplateSweepOnSpatialTrees) {
       points, Box::UnitCube(2), 1.0, simple_options, simple_rng);
 
   for (const SpatialHistogram* hist : {&privtree, &simple}) {
-    const std::vector<double> want = BatchQueryTree(
-        hist->tree, hist->count, std::span<const Box>(queries), box_of);
-    const release::TreeBatchIndex index(hist->tree, hist->count, box_of);
+    const release::TreeBatchIndex index(hist->tree, hist->count, kCellBox);
     EXPECT_EQ(index.size(), hist->tree.size());
-    const std::vector<double> got = index.Query(queries);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "query " << i;
-    }
+    ExpectMatchesOracle(hist->tree, hist->count, index, queries, kCellBox);
   }
 }
 
@@ -357,14 +388,76 @@ TEST(TreeBatchIndexParityTest, MatchesTheTemplateSweepOnKdTrees) {
   const KdTreeHistogram kd(points, Box::UnitCube(2), 1.0, options, rng);
   const auto box_of = [](const Box& b) -> const Box& { return b; };
   const std::vector<Box> queries = AdversarialQueries(250, 0x1D2);
-  const std::vector<double> want = BatchQueryTree(
-      kd.tree(), kd.counts(), std::span<const Box>(queries), box_of);
   const release::TreeBatchIndex index(kd.tree(), kd.counts(), box_of);
-  const std::vector<double> got = index.Query(queries);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << "query " << i;
+  ExpectMatchesOracle(kd.tree(), kd.counts(), index, queries, box_of);
+}
+
+TEST(TreeBatchIndexParityTest, MatchesTheTemplateSweepInHigherDimensions) {
+  // A 4-d PrivTree splits every dimension (fanout 16, like the nyc
+  // tenant); a 3-d SimpleTree has fanout 8.
+  Rng privtree_rng(0x4D);
+  const SpatialHistogram privtree = BuildPrivTreeHistogram(
+      TestPoints(6000, 0x4D0, 4), Box::UnitCube(4), 1.0, {}, privtree_rng);
+  ASSERT_EQ(privtree.tree.node(privtree.tree.root()).children.size(), 16u);
+  Rng simple_rng(0x3D);
+  SimpleTreeHistogramOptions simple_options;
+  simple_options.height = 4;
+  const SpatialHistogram simple =
+      BuildSimpleTreeHistogram(TestPoints(3000, 0x3D0, 3), Box::UnitCube(3),
+                               1.0, simple_options, simple_rng);
+  ASSERT_EQ(simple.tree.node(simple.tree.root()).children.size(), 8u);
+
+  for (const SpatialHistogram* hist : {&privtree, &simple}) {
+    const std::size_t dim = hist->tree.node(0).domain.box.dim();
+    SCOPED_TRACE(testing::Message() << dim << "-d tree");
+    const release::TreeBatchIndex index(hist->tree, hist->count, kCellBox);
+    ExpectMatchesOracle(hist->tree, hist->count, index,
+                        AdversarialQueries(300, 0xD1 + dim, dim), kCellBox);
   }
+}
+
+TEST(TreeBatchIndexParityTest, EveryBatchSizeMatchesTheTemplateSweep) {
+  // 1, 3 and 8 boxes leave SIMD remainders and take the small-batch cost;
+  // the small batches end with the boundary shapes.
+  Rng rng(0xB5);
+  const SpatialHistogram hist = BuildPrivTreeHistogram(
+      TestPoints(4000, 0xB50), Box::UnitCube(2), 1.0, {}, rng);
+  const release::TreeBatchIndex index(hist.tree, hist.count, kCellBox);
+  const std::vector<Box> queries = AdversarialQueries(1024, 0xB51);
+  for (const std::size_t batch : {1, 3, 8, 1024}) {
+    SCOPED_TRACE(testing::Message() << batch << " boxes");
+    const std::span<const Box> all(queries);
+    ExpectMatchesOracle(
+        hist.tree, hist.count, index,
+        batch == 1024 ? all.first(batch) : all.last(batch), kCellBox);
+  }
+}
+
+TEST(TreeBatchIndexParityTest, ReusedScratchDoesNotLeakBetweenCalls) {
+  // One thread, calls of different sizes over trees of different sizes
+  // and dimensions: each answer must depend on its own call only.
+  Rng small_rng(0x5C);
+  const SpatialHistogram small = BuildPrivTreeHistogram(
+      TestPoints(500, 0x5C0), Box::UnitCube(2), 1.0, {}, small_rng);
+  Rng large_rng(0x5D);
+  const SpatialHistogram large = BuildPrivTreeHistogram(
+      TestPoints(6000, 0x5D0, 4), Box::UnitCube(4), 1.0, {}, large_rng);
+  const release::TreeBatchIndex small_index(small.tree, small.count, kCellBox);
+  const release::TreeBatchIndex large_index(large.tree, large.count, kCellBox);
+  const std::vector<Box> queries_2d = AdversarialQueries(600, 0x5E);
+  const std::vector<Box> queries_4d = AdversarialQueries(200, 0x5F, 4);
+  const std::span<const Box> all_2d(queries_2d);
+  const std::span<const Box> all_4d(queries_4d);
+
+  ExpectMatchesOracle(small.tree, small.count, small_index, all_2d, kCellBox);
+  ExpectMatchesOracle(small.tree, small.count, small_index, all_2d.last(5),
+                      kCellBox);
+  ExpectMatchesOracle(large.tree, large.count, large_index, all_4d, kCellBox);
+  ExpectMatchesOracle(small.tree, small.count, small_index, all_2d.first(3),
+                      kCellBox);
+  ExpectMatchesOracle(large.tree, large.count, large_index, all_4d.last(9),
+                      kCellBox);
+  ExpectMatchesOracle(small.tree, small.count, small_index, all_2d, kCellBox);
 }
 
 TEST(TreeBatchIndexParityTest, EmptyIndexAnswersZero) {
