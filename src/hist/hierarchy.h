@@ -70,8 +70,6 @@ class HierarchyHistogram {
 
   /// Per-dimension branching factor b.
   std::int64_t branching() const { return branching_; }
-  /// Per-dimension resolution of the leaf level (b^(h−1)).
-  std::int64_t leaf_resolution() const { return resolution_.back(); }
   /// Total number of released (noisy) counts.
   std::size_t TotalCounts() const;
 

@@ -37,11 +37,6 @@ class KdTreeHistogram {
   KdTreeHistogram(const PointSet& points, const Box& domain, double epsilon,
                   const KdTreeOptions& options, Rng& rng);
 
-  /// Restores a released tree from its serialized parts (the v2 synopsis
-  /// payload — see release/serialization.h); `counts` is indexed by node id.
-  static KdTreeHistogram Restore(DecompTree<Box> tree,
-                                 std::vector<double> counts);
-
   /// Estimated number of points in `q` (leaf traversal with uniform
   /// fractions, as for the other tree histograms).
   double Query(const Box& q) const;
@@ -52,8 +47,6 @@ class KdTreeHistogram {
   const std::vector<double>& counts() const { return count_; }
 
  private:
-  KdTreeHistogram() = default;
-
   DecompTree<Box> tree_;
   std::vector<double> count_;  ///< Released noisy counts per node.
 };

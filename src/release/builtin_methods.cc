@@ -1,6 +1,7 @@
 #include "release/builtin_methods.h"
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -25,6 +26,7 @@
 #include "release/sequence_methods.h"
 #include "release/serialization.h"
 #include "release/tree_batch.h"
+#include "release/tree_codec.h"
 #include "spatial/morton_index.h"
 #include "spatial/serialization.h"
 #include "spatial/spatial_histogram.h"
@@ -72,32 +74,40 @@ double ParseCountQuantum(const MethodOptions& o) {
   return o.GetDouble("count_quantum", 0.0);
 }
 
-/// PrivTree (Section 3.4): the paper's method.
-class PrivTreeMethod final : public BuiltinMethod {
+/// The tree-family methods — PrivTree (Section 3.4), SimpleTree
+/// (Algorithm 1) and the private kd-tree — share this one adapter over a
+/// released tree in the flat layout (release/tree_batch.h).  Fit runs the
+/// family's builder, quantizes the counts, flattens the tree and drops it;
+/// a load decodes the flat tree directly (release/tree_codec.h).
+class TreeMethod final : public BuiltinMethod {
  public:
-  explicit PrivTreeMethod(const MethodOptions& o)
+  /// A family's builder over parsed options: the released tree and counts
+  /// for `epsilon`.
+  using FitFn =
+      std::function<TreeParts(const Dataset& data, double epsilon, Rng& rng)>;
+  /// Parses a family's options into its fit.
+  using ParseFn = FitFn (*)(const MethodOptions& options);
+
+  TreeMethod(std::string name, ParseFn parse, const MethodOptions& o)
       : BuiltinMethod(o),
-        options_(ParsePrivTreeHistogramOptions(o)),
+        name_(std::move(name)),
+        fit_(parse(o)),
         count_quantum_(ParseCountQuantum(o)) {}
 
-  PrivTreeMethod(const SynopsisEnvelope& env, SpatialHistogram hist)
+  /// A loaded synopsis, fitted already.
+  TreeMethod(const SynopsisEnvelope& env, TreeBatchIndex tree)
       : BuiltinMethod(env),
-        options_(ParsePrivTreeHistogramOptions(
-            MethodOptions::Parse(env.options_text))),
+        name_(env.metadata.method),
         count_quantum_(
             ParseCountQuantum(MethodOptions::Parse(env.options_text))),
-        hist_(std::move(hist)) {
-    RebuildBatchIndex();
-  }
+        tree_(std::move(tree)) {}
 
-  /// Counts with the dataset's shared Morton index.
   void Fit(const Dataset& data, PrivacyBudget& budget, Rng& rng) override {
     PRIVTREE_CHECK(!state_.fitted);
     state_ = {true, data.domain().dim(), budget.SpendRemaining()};
-    hist_ = BuildPrivTreeHistogram(data.morton_index(), data.domain(),
-                                   state_.epsilon_spent, options_, rng);
-    for (double& c : hist_.count) c = QuantizeCount(c, count_quantum_);
-    RebuildBatchIndex();
+    TreeParts parts = fit_(data, state_.epsilon_spent, rng);
+    for (double& c : parts.counts) c = QuantizeCount(c, count_quantum_);
+    tree_ = TreeBatchIndex(std::move(parts));
   }
 
   void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
@@ -107,112 +117,69 @@ class PrivTreeMethod final : public BuiltinMethod {
 
   double Query(const Box& q) const override {
     PRIVTREE_CHECK(state_.fitted);
-    return hist_.Query(q);
+    return tree_.Query(q);
   }
 
   std::vector<double> QueryBatch(std::span<const Box> queries) const override {
     PRIVTREE_CHECK(state_.fitted);
-    return batch_.Query(queries);
+    return tree_.Query(queries);
   }
 
   MethodMetadata Metadata() const override {
-    return {"privtree", state_.dim, state_.epsilon_spent, hist_.tree.size(),
-            hist_.tree.empty() ? 0 : hist_.tree.Height()};
+    return {name_, state_.dim, state_.epsilon_spent, tree_.size(),
+            tree_.Height()};
   }
 
   Status Save(std::ostream& out) const override {
     if (!state_.fitted) return NotFitted();
     std::string payload;
     ByteWriter w(&payload);
-    WriteSpatialTreeBodyCompressed(w, hist_.tree, hist_.count,
-                                   count_quantum_);
+    WriteTreeBody(w, tree_, count_quantum_);
     return SaveSynopsis(out, payload);
   }
 
  private:
-  void RebuildBatchIndex() {
-    batch_ = TreeBatchIndex(hist_.tree, hist_.count,
-                            [](const SpatialCell& c) -> const Box& {
-                              return c.box;
-                            });
-  }
-
-  PrivTreeHistogramOptions options_;
+  std::string name_;
+  FitFn fit_;  // Empty on a loaded synopsis.
   double count_quantum_ = 0.0;
-  SpatialHistogram hist_;
-  TreeBatchIndex batch_;
+  TreeBatchIndex tree_;
 };
 
-/// SimpleTree (Algorithm 1): the fixed-height baseline.
-class SimpleTreeMethod final : public BuiltinMethod {
- public:
-  explicit SimpleTreeMethod(const MethodOptions& o)
-      : BuiltinMethod(o),
-        options_(ParseSimpleTreeHistogramOptions(o)),
-        count_quantum_(ParseCountQuantum(o)) {}
+const Box& CellBox(const SpatialCell& cell) { return cell.box; }
 
-  SimpleTreeMethod(const SynopsisEnvelope& env, SpatialHistogram hist)
-      : BuiltinMethod(env),
-        options_(ParseSimpleTreeHistogramOptions(
-            MethodOptions::Parse(env.options_text))),
-        count_quantum_(
-            ParseCountQuantum(MethodOptions::Parse(env.options_text))),
-        hist_(std::move(hist)) {
-    RebuildBatchIndex();
-  }
+/// PrivTree and SimpleTree count with the dataset's shared Morton index.
+TreeMethod::FitFn PrivTreeFit(const MethodOptions& o) {
+  return [options = ParsePrivTreeHistogramOptions(o)](
+             const Dataset& data, double epsilon, Rng& rng) {
+    SpatialHistogram hist = BuildPrivTreeHistogram(
+        data.morton_index(), data.domain(), epsilon, options, rng);
+    return TreeParts::Of(hist.tree, std::move(hist.count), CellBox);
+  };
+}
 
-  /// Counts with the dataset's shared Morton index.
-  void Fit(const Dataset& data, PrivacyBudget& budget, Rng& rng) override {
-    PRIVTREE_CHECK(!state_.fitted);
-    state_ = {true, data.domain().dim(), budget.SpendRemaining()};
-    hist_ = BuildSimpleTreeHistogram(data.morton_index(), data.domain(),
-                                     state_.epsilon_spent, options_, rng);
-    for (double& c : hist_.count) c = QuantizeCount(c, count_quantum_);
-    RebuildBatchIndex();
-  }
+TreeMethod::FitFn SimpleTreeFit(const MethodOptions& o) {
+  return [options = ParseSimpleTreeHistogramOptions(o)](
+             const Dataset& data, double epsilon, Rng& rng) {
+    SpatialHistogram hist = BuildSimpleTreeHistogram(
+        data.morton_index(), data.domain(), epsilon, options, rng);
+    return TreeParts::Of(hist.tree, std::move(hist.count), CellBox);
+  };
+}
 
-  void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
-           Rng& rng) override {
-    Fit(Dataset(points, domain), budget, rng);
-  }
-
-  double Query(const Box& q) const override {
-    PRIVTREE_CHECK(state_.fitted);
-    return hist_.Query(q);
-  }
-
-  std::vector<double> QueryBatch(std::span<const Box> queries) const override {
-    PRIVTREE_CHECK(state_.fitted);
-    return batch_.Query(queries);
-  }
-
-  MethodMetadata Metadata() const override {
-    return {"simpletree", state_.dim, state_.epsilon_spent,
-            hist_.tree.size(), hist_.tree.empty() ? 0 : hist_.tree.Height()};
-  }
-
-  Status Save(std::ostream& out) const override {
-    if (!state_.fitted) return NotFitted();
-    std::string payload;
-    ByteWriter w(&payload);
-    WriteSpatialTreeBodyCompressed(w, hist_.tree, hist_.count,
-                                   count_quantum_);
-    return SaveSynopsis(out, payload);
-  }
-
- private:
-  void RebuildBatchIndex() {
-    batch_ = TreeBatchIndex(hist_.tree, hist_.count,
-                            [](const SpatialCell& c) -> const Box& {
-                              return c.box;
-                            });
-  }
-
-  SimpleTreeHistogramOptions options_;
-  double count_quantum_ = 0.0;
-  SpatialHistogram hist_;
-  TreeBatchIndex batch_;
-};
+TreeMethod::FitFn KdTreeFit(const MethodOptions& o) {
+  RequireKnownKeys(o, {"height", "split_budget_fraction", "count_quantum"});
+  KdTreeOptions options;
+  options.height =
+      static_cast<std::int32_t>(o.GetInt("height", options.height));
+  options.split_budget_fraction =
+      o.GetDouble("split_budget_fraction", options.split_budget_fraction);
+  return [options](const Dataset& data, double epsilon, Rng& rng) {
+    const KdTreeHistogram kd(data.points(), data.domain(), epsilon, options,
+                             rng);
+    return TreeParts::Of(kd.tree(), kd.counts(),
+                         [](const Box& box) -> const Box& { return box; });
+  };
+}
 
 /// Shared adapter for the builders that return a flat GridHistogram (UG,
 /// DAWA, Privelet*); queries go through the O(4^d) prefix-sum lattice, and
@@ -411,83 +378,6 @@ class AdaptiveGridMethod final : public BuiltinMethod {
   std::optional<AdaptiveGrid> grid_;
 };
 
-class KdTreeMethod final : public BuiltinMethod {
- public:
-  explicit KdTreeMethod(const MethodOptions& o)
-      : BuiltinMethod(o),
-        options_(ParseOptions(o)),
-        count_quantum_(ParseCountQuantum(o)) {}
-
-  KdTreeMethod(const SynopsisEnvelope& env, KdTreeHistogram hist)
-      : BuiltinMethod(env),
-        options_(ParseOptions(MethodOptions::Parse(env.options_text))),
-        count_quantum_(
-            ParseCountQuantum(MethodOptions::Parse(env.options_text))) {
-    tree_.emplace(std::move(hist));
-    RebuildBatchIndex();
-  }
-
-  void Fit(const PointSet& points, const Box& domain, PrivacyBudget& budget,
-           Rng& rng) override {
-    PRIVTREE_CHECK(!state_.fitted);
-    state_ = {true, domain.dim(), budget.SpendRemaining()};
-    tree_.emplace(points, domain, state_.epsilon_spent, options_, rng);
-    if (count_quantum_ > 0.0) {
-      DecompTree<Box> tree = tree_->tree();
-      std::vector<double> counts = tree_->counts();
-      for (double& c : counts) c = QuantizeCount(c, count_quantum_);
-      tree_.emplace(
-          KdTreeHistogram::Restore(std::move(tree), std::move(counts)));
-    }
-    RebuildBatchIndex();
-  }
-
-  double Query(const Box& q) const override {
-    PRIVTREE_CHECK(state_.fitted);
-    return tree_->Query(q);
-  }
-
-  std::vector<double> QueryBatch(std::span<const Box> queries) const override {
-    PRIVTREE_CHECK(state_.fitted);
-    return batch_.Query(queries);
-  }
-
-  MethodMetadata Metadata() const override {
-    return {"kdtree", state_.dim, state_.epsilon_spent,
-            tree_ ? tree_->tree().size() : 0,
-            tree_ ? tree_->tree().Height() : 0};
-  }
-
-  Status Save(std::ostream& out) const override {
-    if (!state_.fitted) return NotFitted();
-    std::string payload;
-    ByteWriter w(&payload);
-    WriteBoxTreeBodyCompressed(w, tree_->tree(), tree_->counts(),
-                               count_quantum_);
-    return SaveSynopsis(out, payload);
-  }
-
- private:
-  static KdTreeOptions ParseOptions(const MethodOptions& o) {
-    RequireKnownKeys(o, {"height", "split_budget_fraction", "count_quantum"});
-    KdTreeOptions out;
-    out.height = static_cast<std::int32_t>(o.GetInt("height", out.height));
-    out.split_budget_fraction =
-        o.GetDouble("split_budget_fraction", out.split_budget_fraction);
-    return out;
-  }
-
-  void RebuildBatchIndex() {
-    batch_ = TreeBatchIndex(tree_->tree(), tree_->counts(),
-                            [](const Box& b) -> const Box& { return b; });
-  }
-
-  KdTreeOptions options_;
-  double count_quantum_ = 0.0;
-  std::optional<KdTreeHistogram> tree_;
-  TreeBatchIndex batch_;
-};
-
 class HierarchyMethod final : public BuiltinMethod {
  public:
   explicit HierarchyMethod(const MethodOptions& o)
@@ -561,23 +451,23 @@ MethodFactory FactoryFor() {
   };
 }
 
-/// Loader for the spatial tree family (PrivTree, SimpleTree).  v3 payloads
-/// carry the compressed tree body, v2 the raw node array; both restore the
-/// same histogram bit for bit.
-template <typename T>
-MethodLoader SpatialTreeLoaderFor() {
-  return [](const SynopsisEnvelope& env,
-            ByteReader& payload) -> Result<std::unique_ptr<Method>> {
-    SpatialHistogram hist;
-    Status s = env.format_version >= kSynopsisFormatVersion
-                   ? ReadSpatialTreeBodyCompressed(payload, env.metadata.dim,
-                                                   &hist.tree, &hist.count)
-                   : ReadSpatialTreeBody(payload, env.metadata.dim,
-                                         &hist.tree, &hist.count);
-    if (!s.ok()) return s;
-    return std::unique_ptr<Method>(
-        std::make_unique<T>(env, std::move(hist)));
+MethodFactory TreeFactory(std::string name, TreeMethod::ParseFn parse) {
+  return [name, parse](
+             const MethodOptions& options) -> std::unique_ptr<Method> {
+    return std::make_unique<TreeMethod>(name, parse, options);
   };
+}
+
+/// The tree family's loader: v3 payloads carry the compressed tree body,
+/// v2 the raw node array; both restore the same tree bit for bit.
+Result<std::unique_ptr<Method>> LoadTree(const SynopsisEnvelope& env,
+                                         ByteReader& payload) {
+  auto tree = env.format_version >= kSynopsisFormatVersion
+                  ? ReadTreeBodyV3(payload, env.metadata.dim)
+                  : ReadTreeBodyV2(payload, env.metadata.dim);
+  if (!tree.ok()) return tree.status();
+  return std::unique_ptr<Method>(
+      std::make_unique<TreeMethod>(env, std::move(tree).value()));
 }
 
 /// Loader for the flat-grid family (UG, DAWA, Privelet*).
@@ -590,19 +480,6 @@ MethodLoader GridLoaderFor() {
     return std::unique_ptr<Method>(
         std::make_unique<T>(env, std::move(grid).value()));
   };
-}
-
-Result<std::unique_ptr<Method>> LoadKdTree(const SynopsisEnvelope& env,
-                                           ByteReader& payload) {
-  DecompTree<Box> tree;
-  std::vector<double> counts;
-  Status s = env.format_version >= kSynopsisFormatVersion
-                 ? ReadBoxTreeBodyCompressed(payload, env.metadata.dim, &tree,
-                                             &counts)
-                 : ReadBoxTreeBody(payload, env.metadata.dim, &tree, &counts);
-  if (!s.ok()) return s;
-  return std::unique_ptr<Method>(std::make_unique<KdTreeMethod>(
-      env, KdTreeHistogram::Restore(std::move(tree), std::move(counts))));
 }
 
 /// The v2 AG payload: one full WriteGridHistogram record per level-1 cell.
@@ -691,19 +568,15 @@ Result<std::unique_ptr<Method>> LoadHierarchy(const SynopsisEnvelope& env,
 
 }  // namespace
 
-std::unique_ptr<Method> WrapSpatialHistogram(std::string_view method,
-                                             SpatialHistogram hist,
+std::unique_ptr<Method> WrapSpatialHistogram(SpatialHistogram hist,
                                              double epsilon_spent) {
   PRIVTREE_CHECK(!hist.tree.empty());
   SynopsisEnvelope env;
-  env.metadata.method = std::string(method);
+  env.metadata.method = "privtree";
   env.metadata.dim = hist.tree.node(0).domain.box.dim();
   env.metadata.epsilon_spent = epsilon_spent;
-  if (method == "simpletree") {
-    return std::make_unique<SimpleTreeMethod>(env, std::move(hist));
-  }
-  PRIVTREE_CHECK(method == "privtree");
-  return std::make_unique<PrivTreeMethod>(env, std::move(hist));
+  return std::make_unique<TreeMethod>(
+      env, TreeBatchIndex(hist.tree, std::move(hist.count), CellBox));
 }
 
 PrivTreeHistogramOptions ParsePrivTreeHistogramOptions(
@@ -752,8 +625,8 @@ void RegisterBuiltinMethods(MethodRegistry& registry) {
                         {"max_depth", kInt, 1, 4096},
                         {"count_quantum", kDouble, 0, kInf}},
        .max_dim = MortonIndex::kMaxDim,
-       .factory = FactoryFor<PrivTreeMethod>(),
-       .loader = SpatialTreeLoaderFor<PrivTreeMethod>()});
+       .factory = TreeFactory("privtree", PrivTreeFit),
+       .loader = LoadTree});
   registry.Register(
       "simpletree",
       {.description = "fixed-height noisy quadtree baseline (Algorithm 1)",
@@ -763,8 +636,8 @@ void RegisterBuiltinMethods(MethodRegistry& registry) {
                         {"theta", kDouble},
                         {"count_quantum", kDouble, 0, kInf}},
        .max_dim = MortonIndex::kMaxDim,
-       .factory = FactoryFor<SimpleTreeMethod>(),
-       .loader = SpatialTreeLoaderFor<SimpleTreeMethod>()});
+       .factory = TreeFactory("simpletree", SimpleTreeFit),
+       .loader = LoadTree});
   registry.Register(
       "ug",
       {.description = "uniform grid (Qardaji et al., ICDE 2013)",
@@ -791,8 +664,8 @@ void RegisterBuiltinMethods(MethodRegistry& registry) {
        .allowed_keys = {{"height", kInt, 1, 64},
                         {"split_budget_fraction", kDouble, 0, 1, true},
                         {"count_quantum", kDouble, 0, kInf}},
-       .factory = FactoryFor<KdTreeMethod>(),
-       .loader = LoadKdTree});
+       .factory = TreeFactory("kdtree", KdTreeFit),
+       .loader = LoadTree});
   registry.Register(
       "dawa",
       {.description = "data-aware partition + hierarchical measurement "

@@ -21,7 +21,6 @@
 #define PRIVTREE_RELEASE_BUILTIN_METHODS_H_
 
 #include <memory>
-#include <string_view>
 
 #include "release/options.h"
 #include "release/registry.h"
@@ -36,12 +35,11 @@ namespace privtree::release {
 /// loader, so all backends round-trip through release/serialization.h.
 void RegisterBuiltinMethods(MethodRegistry& registry);
 
-/// Wraps an already-released decomposition-tree histogram as a fitted
-/// `method` ("privtree" or "simpletree"; anything else aborts).  Used by
-/// the legacy v1 text-format compat shim, where the file records no ε —
-/// pass 0 when the budget is unknown.  `hist` must be non-empty.
-std::unique_ptr<Method> WrapSpatialHistogram(std::string_view method,
-                                             SpatialHistogram hist,
+/// Wraps an already-released PrivTree histogram as a fitted "privtree"
+/// method.  Used by the legacy v1 text-format compat shim, where the file
+/// records no ε — pass 0 when the budget is unknown.  `hist` must be
+/// non-empty.
+std::unique_ptr<Method> WrapSpatialHistogram(SpatialHistogram hist,
                                              double epsilon_spent);
 
 /// String-bag → native option-struct translations for the tree-backed

@@ -102,7 +102,7 @@ Result<std::unique_ptr<Method>> LoadMethod(std::istream& in,
     std::istringstream text(data);
     auto hist = LoadSpatialHistogramText(text, "<v1 synopsis>");
     if (!hist.ok()) return hist.status();
-    return WrapSpatialHistogram("privtree", std::move(hist).value(),
+    return WrapSpatialHistogram(std::move(hist).value(),
                                 /*epsilon_spent=*/0.0);
   }
   if (data.size() >= kPstV1Magic.size() &&

@@ -26,7 +26,7 @@
 // envelope fields but compress the structured payload sections with the
 // core/codec.h primitives (delta + bit-packed tree topology, 2-bit
 // box-bound codes against the parent, group-varint quantized counts — see
-// spatial/serialization.h for the compressed tree body and the per-backend
+// release/tree_codec.h for the compressed tree body and the per-backend
 // notes below).  Released doubles are stored verbatim unless the method
 // opted into `count_quantum`, so loading stays bit-for-bit lossless.
 //
@@ -43,12 +43,11 @@
 //     ...   per-backend payload  (the rest of the body)
 //
 // Per-backend payloads (v2 form; the → notes give the v3 compressed form):
-//   privtree, simpletree   spatial tree body (spatial/serialization.h):
-//                          u64 node count, then per node in id order
+//   privtree, simpletree,  tree body (release/tree_codec.h):
+//   kdtree                 u64 node count, then per node in id order
 //                          {i32 parent, f64 count, f64 lo_j/hi_j × dim}
 //                          → v3: compressed tree body (packed parents,
 //                          root box + 2-bit bound codes, counts section)
-//   kdtree                 the same body over plain boxes (v2 and v3)
 //   ug, dawa, wavelet      grid body (hist/grid_codec.h): domain box,
 //                          u64 cells per dim, f64 counts row-major
 //                          (unchanged in v3 — noisy doubles don't pack)

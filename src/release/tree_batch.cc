@@ -107,7 +107,136 @@ inline ChildMasks Classify(const double* q, const double* block,
   return out;
 }
 
+// The intersection volume of a node (lo_j at node[2j * stride], hi_j at
+// node[(2j + 1) * stride]) with query q, in Box::IntersectionVolume's
+// arithmetic with the node as the receiver.
+inline double IntersectionVolume(const double* node, std::size_t stride,
+                                 const double* q, std::size_t dim) {
+  double volume = 1.0;
+  for (std::size_t j = 0; j < dim; ++j) {
+    const double width = std::min(node[(2 * j + 1) * stride], q[2 * j + 1]) -
+                         std::max(node[2 * j * stride], q[2 * j]);
+    if (width <= 0.0) return 0.0;
+    volume *= width;
+  }
+  return volume;
+}
+
 }  // namespace
+
+TreeBatchIndex::TreeBatchIndex(TreeParts parts)
+    : n_(parts.parents.size()), dim_(parts.dim),
+      count_(std::move(parts.counts)) {
+  if (n_ == 0) {
+    dim_ = 0;
+    count_.clear();
+    return;
+  }
+  PRIVTREE_CHECK_GE(dim_, 1u);
+  PRIVTREE_CHECK_EQ(count_.size(), n_);
+  PRIVTREE_CHECK_EQ(parts.bounds.size(), 2 * dim_ * n_);
+  PRIVTREE_CHECK_LT(2 * dim_ * n_,
+                    std::size_t{std::numeric_limits<std::uint32_t>::max()});
+  const std::vector<NodeId>& parent = parts.parents;
+  PRIVTREE_CHECK_EQ(parent[0], kInvalidNode);
+  // Children per node, then their slots by a prefix sum: slot 0 holds the
+  // root, so node v's children fill [child_offset_[v], child_offset_[v + 1]).
+  child_offset_.assign(n_ + 1, 0);
+  std::vector<std::int32_t> depth(n_, 0);
+  for (std::size_t v = 1; v < n_; ++v) {
+    PRIVTREE_CHECK_GE(parent[v], 0);
+    PRIVTREE_CHECK_LT(static_cast<std::size_t>(parent[v]), v);
+    ++child_offset_[parent[v] + 1];
+    depth[v] = depth[parent[v]] + 1;
+    height_ = std::max(height_, depth[v]);
+  }
+  child_offset_[0] = 1;
+  for (std::size_t v = 0; v < n_; ++v) child_offset_[v + 1] += child_offset_[v];
+  // Placing the nodes in id order keeps each node's children in id order.
+  std::vector<std::uint32_t> next(child_offset_.begin(),
+                                  child_offset_.end() - 1);
+  child_ids_.assign(n_, 0);
+  for (std::size_t v = 1; v < n_; ++v) {
+    child_ids_[next[parent[v]]++] = static_cast<NodeId>(v);
+  }
+
+  bounds_.resize(2 * dim_ * n_);
+  bound_at_.resize(n_);
+  bound_stride_.resize(n_);
+  volume_.resize(n_);
+  const auto place = [&](NodeId u, std::uint32_t first, std::uint32_t slot,
+                         std::uint32_t k) {
+    const double* box = parts.bounds.data() + 2 * dim_ * u;
+    const std::size_t at = 2 * dim_ * first + (slot - first);
+    double volume = 1.0;  // Box::Volume's product, in dimension order.
+    for (std::size_t j = 0; j < dim_; ++j) {
+      bounds_[at + 2 * j * k] = box[2 * j];
+      bounds_[at + (2 * j + 1) * k] = box[2 * j + 1];
+      volume *= box[2 * j + 1] - box[2 * j];
+    }
+    bound_at_[u] = static_cast<std::uint32_t>(at);
+    bound_stride_[u] = k;
+    volume_[u] = volume;
+  };
+  place(0, 0, 0, 1);
+  for (std::size_t v = 0; v < n_; ++v) {
+    const std::uint32_t first = child_offset_[v];
+    const std::uint32_t k = child_offset_[v + 1] - first;
+    for (std::uint32_t s = first; s < first + k; ++s) {
+      place(child_ids_[s], first, s, k);
+    }
+  }
+}
+
+std::vector<NodeId> TreeBatchIndex::Parents() const {
+  std::vector<NodeId> parents(n_, kInvalidNode);
+  for (std::size_t v = 0; v < n_; ++v) {
+    for (std::uint32_t s = child_offset_[v]; s < child_offset_[v + 1]; ++s) {
+      parents[child_ids_[s]] = static_cast<NodeId>(v);
+    }
+  }
+  return parents;
+}
+
+double TreeBatchIndex::Query(const Box& q) const {
+  if (n_ == 0) return 0.0;
+  PRIVTREE_CHECK_EQ(q.dim(), dim_);
+  std::vector<double> bounds(2 * dim_);
+  for (std::size_t j = 0; j < dim_; ++j) {
+    bounds[2 * j] = q.lo(j);
+    bounds[2 * j + 1] = q.hi(j);
+  }
+  double answer = 0.0;
+  std::vector<NodeId> stack = {0};
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    const double* node = bounds_.data() + bound_at_[v];
+    const std::size_t stride = bound_stride_[v];
+    const ChildMasks masks =
+        Classify(bounds.data(), node, stride, 0, 1, dim_);
+    if (masks.disjoint != 0) continue;     // Case 1: disjoint.
+    if (masks.outside == 0) {              // Case 2: fully contained.
+      answer += count_[v];
+      continue;
+    }
+    const std::uint32_t first = child_offset_[v];
+    const std::uint32_t last = child_offset_[v + 1];
+    if (first != last) {                   // Case 3: partial, internal.
+      stack.insert(stack.end(), child_ids_.begin() + first,
+                   child_ids_.begin() + last);
+      continue;
+    }
+    // Case 4: partial leaf — uniformity assumption.
+    const double volume = volume_[v];
+    if (volume > 0.0) {
+      answer += count_[v] *
+                (IntersectionVolume(node, stride, bounds.data(), dim_) /
+                 volume);
+    }
+  }
+  return answer;
+}
 
 std::vector<double> TreeBatchIndex::Query(std::span<const Box> queries) const {
   std::vector<double> answers(queries.size(), 0.0);
@@ -201,8 +330,7 @@ std::vector<double> TreeBatchIndex::Query(std::span<const Box> queries) const {
         sweep(begin[v], end[v], first, k);
         continue;
       }
-      // Partial leaf: uniformity assumption inside the cell, with
-      // Box::IntersectionVolume's arithmetic (the node is the receiver).
+      // Partial leaf: uniformity assumption inside the cell.
       const double volume = volume_[v];
       if (!(volume > 0.0)) continue;
       const double* node = bounds_.data() + bound_at_[v];
@@ -210,19 +338,10 @@ std::vector<double> TreeBatchIndex::Query(std::span<const Box> queries) const {
       const std::uint32_t* ids = s.ids.data();
       for (std::size_t p = begin[v]; p < end[v]; ++p) {
         const std::uint32_t q = ids[p];
-        const double* bounds = qb + 2 * dim_ * q;
-        double intersection = 1.0;
-        for (std::size_t j = 0; j < dim_; ++j) {
-          const double width =
-              std::min(node[(2 * j + 1) * stride], bounds[2 * j + 1]) -
-              std::max(node[2 * j * stride], bounds[2 * j]);
-          if (width <= 0.0) {
-            intersection = 0.0;
-            break;
-          }
-          intersection *= width;
-        }
-        answers[q] += count_[v] * (intersection / volume);
+        answers[q] +=
+            count_[v] *
+            (IntersectionVolume(node, stride, qb + 2 * dim_ * q, dim_) /
+             volume);
       }
     }
   }

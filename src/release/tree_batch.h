@@ -1,33 +1,47 @@
-// Batched range-count evaluation over decomposition trees.
+// The served tree: a released decomposition tree with one noisy count per
+// node (PAPER.md §3.4), in the one flat layout that PrivTree, SimpleTree
+// and kd-tree synopses keep in memory.  A fit flattens the builder's tree
+// and drops it; a load decodes the envelope straight into this layout
+// (release/tree_codec.h); every answer reads it.
 //
-// The per-query traversal in SpatialHistogram::Query walks the tree once
-// per query; with thousands of workload queries the node array is re-read
-// from memory each time.  TreeBatchIndex instead sweeps the tree *once*,
-// visiting the nodes some query partly covers in id order (children always
-// have larger ids than their parents, see DecompTree::AddChild).  Each
-// visited node carries the ids of the queries that partly cover it; all
-// these lists share one flat buffer, and a child's list is written in one
-// piece while its parent is swept.  Each query/node pair is classified
-// exactly as in the single-query traversal — disjoint, fully covering,
-// partial-internal, partial-leaf (uniformity assumption) — so the answers
-// agree with repeated Query up to floating-point summation order.
+// Layout.  Slot 0 holds the root; node v's children take the slots
+// [child_offset_[v], child_offset_[v + 1]) in id order, which is the
+// builders' AddChild order (children always have larger ids than their
+// parents, see DecompTree::AddChild).  Node bounds are stored per parent:
+// the children of a node sit next to each other, dimension by dimension
+// (all children's lo_0, then their hi_0, then lo_1, ...).
 //
-// The tree is flattened once, at fit/load time.  Node bounds are stored
-// per parent: the children of a node sit next to each other, dimension by
-// dimension (all children's lo_0, then their hi_0, then lo_1, ...), so one
-// query is classified against every child of a node in a single pass over
-// the dimensions, with SSE2/AVX2 compares (core/simd.h), and written into
-// its partly covered children's lists without a branch per child.  The
-// parity tests (tests/release/kernel_parity_test.cc) hold a template sweep
-// over the DecompTree itself as the oracle; Query matches it bit for bit —
-// the comparisons are exact, and each query's counts are added in the same
-// (node id, child index) order on the same values.
+// Build core.  Every layout is made from three inputs in node id order —
+// parent ids, per-node bounds and released counts (TreeParts) — whether a
+// fit gathered them from a DecompTree or a codec decoded them.
+//
+// Query(const Box&) is the Section 2.2 walk of SpatialHistogram::Query and
+// KdTreeHistogram::Query, in their order: a stack that starts at the root,
+// pushes a partly covered node's children in order and pops the last one.
+// Each node is classified with the same comparisons (disjoint, fully
+// covering, partial-internal, partial-leaf under the uniformity
+// assumption) and adds `count * (intersection / volume)` in the same form,
+// so single-box answers match the builders' bit for bit.
+//
+// Query(span<const Box>) sweeps the tree *once* for a whole batch,
+// visiting the nodes some query partly covers in id order.  Each visited
+// node carries the ids of the queries that partly cover it; all these
+// lists share one flat buffer, and a child's list is written in one piece
+// while its parent is swept.  One query is classified against every child
+// of a node in a single pass over the dimensions, with SSE2/AVX2 compares
+// (core/simd.h), and written into its partly covered children's lists
+// without a branch per child.  The batch answers agree with repeated
+// single-box answers up to floating-point summation order; the parity
+// tests (tests/release/kernel_parity_test.cc) hold a template sweep over
+// the DecompTree itself as the batch oracle, which the batch matches bit
+// for bit — the comparisons are exact, and each query's counts are added
+// in the same (node id, child index) order on the same values.
 #ifndef PRIVTREE_RELEASE_TREE_BATCH_H_
 #define PRIVTREE_RELEASE_TREE_BATCH_H_
 
 #include <cstdint>
-#include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/tree.h"
@@ -36,68 +50,79 @@
 
 namespace privtree::release {
 
-/// Flat snapshot of a decomposition tree with released counts, built once
-/// per synopsis and reused by every QueryBatch call.
+/// The build core's inputs, all in node id order.
+struct TreeParts {
+  /// kInvalidNode for the root, node 0; every other node's parent has a
+  /// smaller id.
+  std::vector<NodeId> parents;
+  std::size_t dim = 0;
+  /// Node v's lo_j at [2 * dim * v + 2 * j] and hi_j right after it.
+  std::vector<double> bounds;
+  /// Released count per node.
+  std::vector<double> counts;
+
+  /// Gathers `tree` (`box_of` maps a node's Domain to its geometric Box)
+  /// with its released counts, indexed by node id.
+  template <typename Domain, typename BoxOf>
+  static TreeParts Of(const DecompTree<Domain>& tree,
+                      std::vector<double> counts, BoxOf&& box_of) {
+    TreeParts parts;
+    parts.counts = std::move(counts);
+    if (tree.empty()) return parts;
+    parts.dim = box_of(tree.node(tree.root()).domain).dim();
+    parts.parents.reserve(tree.size());
+    parts.bounds.reserve(2 * parts.dim * tree.size());
+    for (const auto& node : tree.nodes()) {
+      const Box& box = box_of(node.domain);
+      PRIVTREE_CHECK_EQ(box.dim(), parts.dim);
+      parts.parents.push_back(node.parent);
+      for (std::size_t j = 0; j < parts.dim; ++j) {
+        parts.bounds.push_back(box.lo(j));
+        parts.bounds.push_back(box.hi(j));
+      }
+    }
+    return parts;
+  }
+};
+
+/// A released tree in the flat layout, built once per synopsis; answers
+/// single boxes and batches and hands the codec what it writes.
 class TreeBatchIndex {
  public:
   /// An empty index answers every query with 0.
   TreeBatchIndex() = default;
 
-  /// Flattens `tree` (`box_of` maps a node's Domain to its geometric Box)
-  /// and takes ownership of the released counts, indexed by node id.
+  /// The build core.  Aborts on inputs that break the TreeParts contract;
+  /// decoders validate untrusted bytes before they get here.
+  explicit TreeBatchIndex(TreeParts parts);
+
+  /// Flattens `tree` with its released counts, indexed by node id.
   template <typename Domain, typename BoxOf>
   TreeBatchIndex(const DecompTree<Domain>& tree, std::vector<double> count,
                  BoxOf&& box_of)
-      : n_(tree.size()), count_(std::move(count)) {
-    if (n_ == 0) {
-      count_.clear();
-      return;
-    }
-    PRIVTREE_CHECK_EQ(count_.size(), n_);
-    dim_ = box_of(tree.node(tree.root()).domain).dim();
-    PRIVTREE_CHECK_LT(2 * dim_ * n_,
-                      std::size_t{std::numeric_limits<std::uint32_t>::max()});
-    // Slot 0 holds the root; node v's children fill the slots
-    // [child_offset_[v], child_offset_[v + 1]).
-    child_offset_.assign(n_ + 1, 1);
-    child_ids_.assign(1, tree.root());
-    for (std::size_t v = 0; v < n_; ++v) {
-      const auto& children = tree.node(static_cast<NodeId>(v)).children;
-      child_offset_[v + 1] =
-          child_offset_[v] + static_cast<std::uint32_t>(children.size());
-      child_ids_.insert(child_ids_.end(), children.begin(), children.end());
-    }
-    PRIVTREE_CHECK_EQ(child_offset_[n_], n_);  // One slot per node.
-    bounds_.resize(2 * dim_ * n_);
-    bound_at_.resize(n_);
-    bound_stride_.resize(n_);
-    volume_.resize(n_);
-    const auto place = [&](NodeId u, std::uint32_t first, std::uint32_t slot,
-                           std::uint32_t k) {
-      const Box& box = box_of(tree.node(u).domain);
-      PRIVTREE_CHECK_EQ(box.dim(), dim_);
-      const std::size_t at = 2 * dim_ * first + (slot - first);
-      for (std::size_t j = 0; j < dim_; ++j) {
-        bounds_[at + 2 * j * k] = box.lo(j);
-        bounds_[at + (2 * j + 1) * k] = box.hi(j);
-      }
-      bound_at_[u] = static_cast<std::uint32_t>(at);
-      bound_stride_[u] = k;
-      volume_[u] = box.Volume();
-    };
-    place(tree.root(), 0, 0, 1);
-    for (std::size_t v = 0; v < n_; ++v) {
-      const std::uint32_t first = child_offset_[v];
-      const std::uint32_t k = child_offset_[v + 1] - first;
-      for (std::uint32_t s = first; s < first + k; ++s) {
-        place(child_ids_[s], first, s, k);
-      }
-    }
-  }
+      : TreeBatchIndex(TreeParts::Of(tree, std::move(count), box_of)) {}
 
   bool empty() const { return n_ == 0; }
   std::size_t size() const { return n_; }
   std::size_t dim() const { return dim_; }
+  /// Maximum node depth; 0 for a root-only or empty tree.
+  std::int32_t Height() const { return height_; }
+
+  /// Parent id per node, kInvalidNode for the root.
+  std::vector<NodeId> Parents() const;
+  /// Node u's bounds in dimension j.
+  double lo(NodeId u, std::size_t j) const {
+    return bounds_[bound_at_[u] + 2 * j * bound_stride_[u]];
+  }
+  double hi(NodeId u, std::size_t j) const {
+    return bounds_[bound_at_[u] + (2 * j + 1) * bound_stride_[u]];
+  }
+  /// Released count per node id.
+  const std::vector<double>& counts() const { return count_; }
+
+  /// Estimated number of points in `q`, bit for bit what the builder's own
+  /// Query answers on the same tree and counts.
+  double Query(const Box& q) const;
 
   /// Answers all queries, one estimate per query in input order.  Safe to
   /// call from many threads at once: the scratch is per thread.
@@ -106,6 +131,7 @@ class TreeBatchIndex {
  private:
   std::size_t n_ = 0;
   std::size_t dim_ = 0;
+  std::int32_t height_ = 0;
   // Bounds by child slot, one block per parent: the block of a node whose
   // children take slots [f, f + k) starts at 2 * dim_ * f and holds lo_j of
   // child i at [2j * k + i] and hi_j at [(2j + 1) * k + i].  The root's
@@ -117,7 +143,7 @@ class TreeBatchIndex {
   std::vector<double> volume_;  // Precomputed Box::Volume per node id.
   std::vector<std::uint32_t> child_offset_;  // CSR offsets, n_ + 1 entries.
   std::vector<NodeId> child_ids_;            // Slot 0: the root; then the
-                                             // children in AddChild order.
+                                             // children in id order.
 };
 
 }  // namespace privtree::release

@@ -38,8 +38,6 @@ class PstModel : public SequenceModel {
   std::size_t alphabet_size() const override { return alphabet_size_; }
   /// The symbol value encoding $ inside predictor strings.
   Symbol dollar() const { return static_cast<Symbol>(alphabet_size_); }
-  /// The hist slot of the & marker.
-  std::size_t end_slot() const { return alphabet_size_; }
   /// Fanout β = |I| + 1.
   std::size_t fanout() const { return alphabet_size_ + 1; }
 

@@ -53,8 +53,6 @@ class MortonIndex {
   static constexpr int kTotalBits = 126;
 
   std::size_t dim() const { return dim_; }
-  /// Bits per dimension (L).
-  int levels_per_dim() const { return levels_per_dim_; }
   /// Total usable prefix bits (d · L).
   int max_prefix_bits() const { return max_prefix_bits_; }
   std::size_t size() const { return keys_.size(); }

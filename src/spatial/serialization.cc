@@ -1,12 +1,9 @@
 #include "spatial/serialization.h"
 
-#include <bit>
 #include <cmath>
 #include <sstream>
 #include <utility>
 #include <vector>
-
-#include "core/codec.h"
 
 namespace privtree {
 
@@ -67,373 +64,31 @@ void WriteBox(ByteWriter& out, const Box& box) {
   }
 }
 
-bool ReadBox(ByteReader& in, std::size_t dim, Box* out, std::string* error) {
-  std::vector<double> lo(dim), hi(dim);
-  for (std::size_t j = 0; j < dim; ++j) {
-    if (!in.F64(&lo[j]) || !in.F64(&hi[j])) {
-      *error = "truncated box";
-      return false;
-    }
-    // Box's constructor aborts on these; a crafted file must get a Status.
-    if (!std::isfinite(lo[j]) || !std::isfinite(hi[j])) {
-      *error = "non-finite box bound";
-      return false;
-    }
-    if (!(lo[j] <= hi[j])) {
-      *error = "box with lo > hi";
-      return false;
-    }
+bool ReadBounds(ByteReader& in, double* lo, double* hi,
+                std::string* error) {
+  if (!in.F64(lo) || !in.F64(hi)) {
+    *error = "truncated box";
+    return false;
   }
-  *out = Box(std::move(lo), std::move(hi));
+  // Box's constructor aborts on these; a crafted file must get a Status.
+  if (!std::isfinite(*lo) || !std::isfinite(*hi)) {
+    *error = "non-finite box bound";
+    return false;
+  }
+  if (!(*lo <= *hi)) {
+    *error = "box with lo > hi";
+    return false;
+  }
   return true;
 }
 
-namespace {
-
-/// The raw v2 tree body, read-only: v2 files load forever, nothing writes
-/// them.  `make_domain` converts a Box into the node's Domain.
-template <typename Domain, typename MakeDomain>
-Status ReadTreeBodyImpl(ByteReader& in, std::size_t dim,
-                        DecompTree<Domain>* tree, std::vector<double>* counts,
-                        MakeDomain make_domain) {
-  std::uint64_t nodes = 0;
-  if (!in.U64(&nodes) || nodes == 0) {
-    return Status::InvalidArgument("tree body: bad node count");
-  }
-  // Each node record is 4 + 8 + 16·dim bytes; reject counts the remaining
-  // payload cannot possibly hold before reserving anything.
-  const std::uint64_t record_bytes = 4 + 8 + 16 * static_cast<std::uint64_t>(dim);
-  if (nodes > in.remaining() / record_bytes) {
-    return Status::InvalidArgument("tree body: node count exceeds payload");
-  }
-  counts->reserve(nodes);
-  std::string box_error;
-  for (std::uint64_t i = 0; i < nodes; ++i) {
-    std::int32_t parent = kInvalidNode;
-    double count = 0.0;
-    Box box;
-    if (!in.I32(&parent) || !in.F64(&count) ||
-        !ReadBox(in, dim, &box, &box_error)) {
-      return Status::InvalidArgument("tree body: truncated node " +
-                                     std::to_string(i) +
-                                     (box_error.empty() ? "" : ": " + box_error));
-    }
-    if (i == 0) {
-      if (parent != kInvalidNode) {
-        return Status::InvalidArgument("tree body: root must have parent -1");
-      }
-      tree->AddRoot(make_domain(std::move(box)));
-    } else {
-      if (parent < 0 || static_cast<std::uint64_t>(parent) >= i) {
-        return Status::InvalidArgument("tree body: bad parent at node " +
-                                       std::to_string(i));
-      }
-      tree->AddChild(parent, make_domain(std::move(box)));
-    }
-    counts->push_back(count);
-  }
-  return Status::OK();
-}
-
-/// Bitwise double equality: the bound codes must survive ±0 and round-trip
-/// exactly, so value comparison (`==`) is not enough.
-bool SameBits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-// 2-bit bound codes of the compressed tree body.
-constexpr std::uint32_t kBoundInherit = 0;   // Equals the parent's bound.
-constexpr std::uint32_t kBoundMidpoint = 1;  // Equals the parent's midpoint.
-constexpr std::uint32_t kBoundExplicit = 2;  // Stored as a raw f64.
-
-// Counts-section modes.
-constexpr std::uint32_t kCountsRaw = 0;
-constexpr std::uint32_t kCountsQuantized = 1;
-
-/// Appends the counts section: quantized (group-varint multiples) when
-/// `quantum` reproduces every count bitwise, raw doubles otherwise.
-void WriteCountsSection(ByteWriter& out, const std::vector<double>& counts,
-                        double quantum) {
-  if (quantum > 0.0 && std::isfinite(quantum)) {
-    std::vector<std::uint64_t> multiples;
-    multiples.reserve(counts.size());
-    bool exact = true;
-    for (const double c : counts) {
-      if (!std::isfinite(c)) {
-        exact = false;
-        break;
-      }
-      const double k = std::nearbyint(c / quantum);
-      if (!(std::fabs(k) < 9007199254740992.0) /* 2^53 */ ||
-          !SameBits(k * quantum, c)) {
-        exact = false;
-        break;
-      }
-      multiples.push_back(ZigZag64(static_cast<std::int64_t>(k)));
-    }
-    if (exact) {
-      out.U32(kCountsQuantized);
-      out.F64(quantum);
-      out.Str(PackVarintGB(multiples));
-      return;
-    }
-  }
-  out.U32(kCountsRaw);
-  out.F64Span(counts);
-}
-
-/// Reads either counts-section mode; `n` counts exactly.
-Status ReadCountsSection(ByteReader& in, std::uint64_t n,
-                         std::vector<double>* counts) {
-  std::uint32_t mode = 0;
-  if (!in.U32(&mode)) {
-    return Status::InvalidArgument("tree body: truncated counts mode");
-  }
-  if (mode == kCountsRaw) {
-    if (n > in.remaining() / 8 || !in.F64Vec(n, counts)) {
-      return Status::InvalidArgument("tree body: truncated counts");
-    }
-    return Status::OK();
-  }
-  if (mode != kCountsQuantized) {
-    return Status::InvalidArgument("tree body: unknown counts mode");
-  }
-  double quantum = 0.0;
-  std::string packed;
-  if (!in.F64(&quantum) || !in.Str(&packed)) {
-    return Status::InvalidArgument("tree body: truncated quantized counts");
-  }
-  if (!(quantum > 0.0) || !std::isfinite(quantum)) {
-    return Status::InvalidArgument("tree body: bad count quantum");
-  }
-  std::vector<std::uint64_t> multiples;
-  if (!UnpackVarintGB(packed, n, &multiples)) {
-    return Status::InvalidArgument("tree body: bad quantized counts");
-  }
-  counts->reserve(n);
-  for (const std::uint64_t zz : multiples) {
-    // double(k) is exact (the encoder bounded |k| < 2^53), and k * quantum
-    // is the very multiply the encoder verified bitwise.
-    counts->push_back(static_cast<double>(UnZigZag64(zz)) * quantum);
-  }
-  return Status::OK();
-}
-
-template <typename Domain, typename BoxOf>
-void WriteTreeBodyCompressedImpl(ByteWriter& out,
-                                 const DecompTree<Domain>& tree,
-                                 const std::vector<double>& counts,
-                                 double quantum, BoxOf box_of) {
-  const std::size_t n = tree.size();
-  out.U64(n);
-  std::vector<std::int32_t> parents(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    parents[i] = tree.node(static_cast<NodeId>(i)).parent;
-  }
-  out.Str(PackDeltaI32(parents));
-
-  const Box& root = box_of(tree.node(0).domain);
-  WriteBox(out, root);
-  const std::size_t dim = root.dim();
-
-  std::string codes;
-  BitWriter bits(&codes);
-  std::vector<double> explicit_bounds;
-  const auto encode_bound = [&](double v, double inherited, double mid) {
-    if (SameBits(v, inherited)) {
-      bits.Put(kBoundInherit, 2);
-    } else if (SameBits(v, mid)) {
-      bits.Put(kBoundMidpoint, 2);
-    } else {
-      bits.Put(kBoundExplicit, 2);
-      explicit_bounds.push_back(v);
-    }
-  };
-  for (std::size_t i = 1; i < n; ++i) {
-    const Box& box = box_of(tree.node(static_cast<NodeId>(i)).domain);
-    const Box& parent = box_of(tree.node(parents[i]).domain);
-    for (std::size_t j = 0; j < dim; ++j) {
-      // The midpoint expression matches Box::BisectDim bit for bit, so
-      // bisection trees (all of PrivTree/SimpleTree, the kd-tree's
-      // non-split dims) need no explicit bounds at all.
-      const double mid = 0.5 * (parent.lo(j) + parent.hi(j));
-      encode_bound(box.lo(j), parent.lo(j), mid);
-      encode_bound(box.hi(j), parent.hi(j), mid);
-    }
-  }
-  bits.Finish();
-  out.Str(codes);
-  out.U64(explicit_bounds.size());
-  out.F64Span(explicit_bounds);
-
-  WriteCountsSection(out, counts, quantum);
-}
-
-template <typename Domain, typename MakeDomain>
-Status ReadTreeBodyCompressedImpl(ByteReader& in, std::size_t dim,
-                                  DecompTree<Domain>* tree,
-                                  std::vector<double>* counts,
-                                  MakeDomain make_domain) {
-  std::uint64_t nodes = 0;
-  if (!in.U64(&nodes) || nodes == 0) {
-    return Status::InvalidArgument("tree body: bad node count");
-  }
-  // Packed parents cost at least one width byte per 128 nodes; reject node
-  // counts the remaining payload cannot possibly describe before any
-  // count-sized allocation happens.
-  if (nodes / 128 + 1 > in.remaining()) {
-    return Status::InvalidArgument("tree body: node count exceeds payload");
-  }
-  std::string packed_parents;
-  if (!in.Str(&packed_parents)) {
-    return Status::InvalidArgument("tree body: truncated parent links");
-  }
-  std::vector<std::int32_t> parents;
-  if (!UnpackDeltaI32(packed_parents, nodes, &parents)) {
-    return Status::InvalidArgument("tree body: bad parent links");
-  }
-  if (parents[0] != kInvalidNode) {
-    return Status::InvalidArgument("tree body: root must have parent -1");
-  }
-  for (std::uint64_t i = 1; i < nodes; ++i) {
-    if (parents[i] < 0 || static_cast<std::uint64_t>(parents[i]) >= i) {
-      return Status::InvalidArgument("tree body: bad parent at node " +
-                                     std::to_string(i));
-    }
-  }
-
-  Box root_box;
-  std::string box_error;
-  if (!ReadBox(in, dim, &root_box, &box_error)) {
-    return Status::InvalidArgument("tree body: root box: " + box_error);
-  }
-
-  std::string codes;
-  if (!in.Str(&codes)) {
-    return Status::InvalidArgument("tree body: truncated bound codes");
-  }
-  const std::uint64_t code_bits = (nodes - 1) * dim * 2 * 2;
-  if (codes.size() != (code_bits + 7) / 8) {
-    return Status::InvalidArgument("tree body: bound code size mismatch");
-  }
-  std::uint64_t explicit_count = 0;
-  if (!in.U64(&explicit_count) || explicit_count > in.remaining() / 8) {
-    return Status::InvalidArgument("tree body: bad explicit bound count");
-  }
-  std::vector<double> explicit_bounds;
-  if (!in.F64Vec(explicit_count, &explicit_bounds)) {
-    return Status::InvalidArgument("tree body: truncated explicit bounds");
-  }
-
-  std::vector<Box> boxes(nodes);
-  boxes[0] = std::move(root_box);
-  BitReader bits(codes);
-  std::size_t next_explicit = 0;
+bool ReadBox(ByteReader& in, std::size_t dim, Box* out, std::string* error) {
   std::vector<double> lo(dim), hi(dim);
-  for (std::uint64_t i = 1; i < nodes; ++i) {
-    const Box& parent = boxes[static_cast<std::size_t>(parents[i])];
-    for (std::size_t j = 0; j < dim; ++j) {
-      const double mid = 0.5 * (parent.lo(j) + parent.hi(j));
-      double* const bound[2] = {&lo[j], &hi[j]};
-      const double inherited[2] = {parent.lo(j), parent.hi(j)};
-      for (int side = 0; side < 2; ++side) {
-        std::uint32_t code = 0;
-        if (!bits.Get(2, &code)) {
-          return Status::InvalidArgument("tree body: truncated bound codes");
-        }
-        switch (code) {
-          case kBoundInherit:
-            *bound[side] = inherited[side];
-            break;
-          case kBoundMidpoint:
-            *bound[side] = mid;
-            break;
-          case kBoundExplicit:
-            if (next_explicit >= explicit_bounds.size()) {
-              return Status::InvalidArgument(
-                  "tree body: missing explicit bound");
-            }
-            *bound[side] = explicit_bounds[next_explicit++];
-            break;
-          default:
-            return Status::InvalidArgument("tree body: bad bound code");
-        }
-      }
-      // Box's constructor aborts on invalid bounds; a corrupt or crafted
-      // file must fail with a Status instead.
-      if (!std::isfinite(lo[j]) || !std::isfinite(hi[j]) ||
-          !(lo[j] <= hi[j])) {
-        return Status::InvalidArgument("tree body: bad bounds at node " +
-                                       std::to_string(i));
-      }
-    }
-    boxes[i] = Box(lo, hi);
+  for (std::size_t j = 0; j < dim; ++j) {
+    if (!ReadBounds(in, &lo[j], &hi[j], error)) return false;
   }
-  if (next_explicit != explicit_bounds.size()) {
-    return Status::InvalidArgument("tree body: unused explicit bounds");
-  }
-
-  if (Status s = ReadCountsSection(in, nodes, counts); !s.ok()) return s;
-
-  for (std::uint64_t i = 0; i < nodes; ++i) {
-    if (i == 0) {
-      tree->AddRoot(make_domain(std::move(boxes[i])));
-    } else {
-      tree->AddChild(parents[i], make_domain(std::move(boxes[i])));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status ReadSpatialTreeBody(ByteReader& in, std::size_t dim,
-                           DecompTree<SpatialCell>* tree,
-                           std::vector<double>* counts) {
-  return ReadTreeBodyImpl(in, dim, tree, counts, [](Box box) {
-    SpatialCell cell;
-    cell.box = std::move(box);
-    return cell;
-  });
-}
-
-Status ReadBoxTreeBody(ByteReader& in, std::size_t dim, DecompTree<Box>* tree,
-                       std::vector<double>* counts) {
-  return ReadTreeBodyImpl(in, dim, tree, counts,
-                          [](Box box) { return box; });
-}
-
-void WriteSpatialTreeBodyCompressed(ByteWriter& out,
-                                    const DecompTree<SpatialCell>& tree,
-                                    const std::vector<double>& counts,
-                                    double count_quantum) {
-  WriteTreeBodyCompressedImpl(
-      out, tree, counts, count_quantum,
-      [](const SpatialCell& c) -> const Box& { return c.box; });
-}
-
-Status ReadSpatialTreeBodyCompressed(ByteReader& in, std::size_t dim,
-                                     DecompTree<SpatialCell>* tree,
-                                     std::vector<double>* counts) {
-  return ReadTreeBodyCompressedImpl(in, dim, tree, counts, [](Box box) {
-    SpatialCell cell;
-    cell.box = std::move(box);
-    return cell;
-  });
-}
-
-void WriteBoxTreeBodyCompressed(ByteWriter& out, const DecompTree<Box>& tree,
-                                const std::vector<double>& counts,
-                                double count_quantum) {
-  WriteTreeBodyCompressedImpl(out, tree, counts, count_quantum,
-                              [](const Box& b) -> const Box& { return b; });
-}
-
-Status ReadBoxTreeBodyCompressed(ByteReader& in, std::size_t dim,
-                                 DecompTree<Box>* tree,
-                                 std::vector<double>* counts) {
-  return ReadTreeBodyCompressedImpl(in, dim, tree, counts,
-                                    [](Box box) { return box; });
+  *out = Box(std::move(lo), std::move(hi));
+  return true;
 }
 
 }  // namespace privtree

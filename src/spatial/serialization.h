@@ -1,10 +1,5 @@
-// Serialization of released spatial synopses.
-//
-// A SpatialHistogram is the *output* of the privacy mechanism; persisting
-// and re-loading it is pure post-processing.  Three formats live here; only
-// the v3 body is still written:
-//
-//  * The legacy v1 text format, line-oriented and versioned (read-only):
+// Serialization of released spatial synopses: the box record every
+// spatial payload shares, and the legacy v1 text format (read-only):
 //
 //      privtree-histogram v1
 //      dim <d>
@@ -12,22 +7,11 @@
 //      <parent> <noisy_count> <lo_1> <hi_1> ... <lo_d> <hi_d>   (per node,
 //                                                               id order)
 //
-//    v1 files keep loading forever: release::LoadMethod recognizes the v1
-//    magic line and routes through LoadSpatialHistogramText (the compat
-//    shim); tests/golden/privtree.v1.txt pins the format.
-//
-//  * The binary node-array body of the v2 synopsis envelope (see
-//    release/serialization.h for the envelope spec; read-only, pinned by
-//    the v2 files in tests/golden).  The body is shared by every
-//    tree-backed backend:
-//
-//      u64 node_count
-//      per node, in id order:
-//        i32 parent          (-1 for the root)
-//        f64 released count
-//        f64 lo_j, f64 hi_j  for j = 0..dim-1
-//
-//  * The compressed v3 tree body, documented below.
+// v1 files keep loading forever: release::LoadMethod recognizes the v1
+// magic line and routes through LoadSpatialHistogramText (the compat
+// shim); tests/golden/privtree.v1.txt pins the format.  The v2 and v3
+// tree bodies of the synopsis envelope live with the flat tree they
+// decode into, in release/tree_codec.h.
 //
 // Morton metadata is intentionally not persisted in any format: a loaded
 // synopsis can answer queries but is decoupled from the (sensitive) source
@@ -37,10 +21,8 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "core/byteio.h"
-#include "core/tree.h"
 #include "dp/status.h"
 #include "spatial/spatial_histogram.h"
 
@@ -55,58 +37,12 @@ Result<SpatialHistogram> LoadSpatialHistogramText(std::istream& in,
 /// enclosing record.
 void WriteBox(ByteWriter& out, const Box& box);
 
-/// Reads a `dim`-dimensional box; returns false (with `*error` set) on
+/// Reads one (lo, hi) bound pair; returns false (with `*error` set) on
 /// truncation, a non-finite bound or lo > hi.
+bool ReadBounds(ByteReader& in, double* lo, double* hi, std::string* error);
+
+/// Reads a `dim`-dimensional box, validated as ReadBounds does.
 bool ReadBox(ByteReader& in, std::size_t dim, Box* out, std::string* error);
-
-/// Reads the binary node-array body of a spatial decomposition tree (the
-/// v2 payload).
-Status ReadSpatialTreeBody(ByteReader& in, std::size_t dim,
-                           DecompTree<SpatialCell>* tree,
-                           std::vector<double>* counts);
-
-/// Same body layout for plain-box trees (the k-d-tree backend).
-Status ReadBoxTreeBody(ByteReader& in, std::size_t dim, DecompTree<Box>* tree,
-                       std::vector<double>* counts);
-
-/// The compressed tree body used inside v3 envelopes.  Decomposition trees
-/// are highly redundant: every child bound either equals the parent's bound
-/// or the parent's midpoint (`0.5 * (lo + hi)`, the BisectDim expression),
-/// so boxes shrink to a 2-bit code per bound (0 = inherit, 1 = midpoint,
-/// 2 = explicit f64 — matched *bitwise*, so decoding is exact by
-/// construction) on top of delta-bit-packed parent links (core/codec.h).
-/// Layout:
-///
-///   u64  node count n
-///   str  packed parent ids            (PackDeltaI32, id order, root = -1)
-///   box  root box                     (raw f64 pairs)
-///   str  bound codes                  (nodes 1..n-1 × dim × {lo, hi},
-///                                      2 bits each, LSB-first)
-///   u64  explicit bound count
-///   f64… explicit bounds              (in code-stream order)
-///   u32  counts mode                  (0 = raw, 1 = quantized)
-///   mode 0:  f64 × n  released counts
-///   mode 1:  f64 quantum, str packed counts (PackVarintGB of
-///            zigzag(count / quantum)); written only when every count is
-///            *bitwise* reproducible as multiple × quantum (the
-///            `count_quantum` knob quantized them at Fit), else mode 0
-///
-/// Reading validates everything (parents, code stream size, bound
-/// finiteness and ordering, count sections) before constructing boxes, and
-/// returns counts bit-for-bit equal to what was written.
-void WriteSpatialTreeBodyCompressed(ByteWriter& out,
-                                    const DecompTree<SpatialCell>& tree,
-                                    const std::vector<double>& counts,
-                                    double count_quantum = 0.0);
-Status ReadSpatialTreeBodyCompressed(ByteReader& in, std::size_t dim,
-                                     DecompTree<SpatialCell>* tree,
-                                     std::vector<double>* counts);
-void WriteBoxTreeBodyCompressed(ByteWriter& out, const DecompTree<Box>& tree,
-                                const std::vector<double>& counts,
-                                double count_quantum = 0.0);
-Status ReadBoxTreeBodyCompressed(ByteReader& in, std::size_t dim,
-                                 DecompTree<Box>* tree,
-                                 std::vector<double>* counts);
 
 }  // namespace privtree
 

@@ -20,13 +20,22 @@ PointSet RandomPoints(std::size_t n, std::size_t dim, Rng& rng) {
   return points;
 }
 
+/// Per-dimension resolution of the leaf level: b^(h-1).
+std::int64_t LeafResolution(const HierarchyHistogram& hist) {
+  std::int64_t resolution = 1;
+  for (std::int32_t l = 1; l < hist.height(); ++l) {
+    resolution *= hist.branching();
+  }
+  return resolution;
+}
+
 TEST(HierarchyTest, DefaultMatchesPaperHeuristic) {
   Rng rng(1);
   const PointSet points = RandomPoints(1000, 2, rng);
   const HierarchyHistogram hist(points, Box::UnitCube(2), 1.0, {}, rng);
   // h = 3, target 64 ⇒ b = 8 (β = 64), leaves 64×64.
   EXPECT_EQ(hist.branching(), 8);
-  EXPECT_EQ(hist.leaf_resolution(), 64);
+  EXPECT_EQ(LeafResolution(hist), 64);
   EXPECT_EQ(hist.TotalCounts(), 64u + 4096u);
 }
 
@@ -37,7 +46,7 @@ TEST(HierarchyTest, HeightSweepAdjustsBranching) {
   options.height = 7;  // b = round(64^(1/6)) = 2, leaves 64.
   const HierarchyHistogram hist(points, Box::UnitCube(2), 1.0, options, rng);
   EXPECT_EQ(hist.branching(), 2);
-  EXPECT_EQ(hist.leaf_resolution(), 64);
+  EXPECT_EQ(LeafResolution(hist), 64);
 }
 
 TEST(HierarchyTest, FullDomainQueryNearCardinality) {

@@ -6,14 +6,17 @@
 //    envelope further;
 //  * a *valid-checksum* envelope wrapping a corrupted compressed payload —
 //    the adversarial case the body checksum cannot catch — fails cleanly
-//    or loads something re-saveable, never crashes (swept under ASan in
-//    CI's hardening job), and a crafted non-finite box bound is refused.
+//    or loads something that answers and re-saves, never crashes (swept
+//    under ASan in CI's hardening job), for tree bodies with explicit
+//    bounds (kd-tree) and fanout 16 (4-d privtree) as well as the 2-d
+//    ones, and a crafted non-finite box bound is refused.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,13 +34,14 @@
 namespace privtree::release {
 namespace {
 
-PointSet TestPoints(std::size_t n = 4000, std::uint64_t seed = 0x5EED) {
+PointSet TestPoints(std::size_t n = 4000, std::uint64_t seed = 0x5EED,
+                    std::size_t dim = 2) {
   Rng rng(seed);
-  PointSet points(2);
-  std::vector<double> p(2);
+  PointSet points(dim);
+  std::vector<double> p(dim);
   for (std::size_t i = 0; i < n; ++i) {
     p[0] = rng.NextDouble() * rng.NextDouble();  // Skewed, so trees split.
-    p[1] = rng.NextDouble();
+    for (std::size_t j = 1; j < dim; ++j) p[j] = rng.NextDouble();
     points.Add(p);
   }
   return points;
@@ -50,7 +54,7 @@ std::unique_ptr<Method> FitSpatial(const std::string& name,
   auto method = GlobalMethodRegistry().Create(name, options);
   PrivacyBudget budget(1.0);
   Rng rng(seed);
-  method->Fit(points, Box::UnitCube(2), budget, rng);
+  method->Fit(points, Box::UnitCube(points.dim()), budget, rng);
   return method;
 }
 
@@ -174,6 +178,12 @@ class CompressedPayloadCorruptionTest : public ::testing::Test {
     const PointSet points = TestPoints(1500);
     envelopes_.push_back(SaveToString(*FitSpatial("privtree", {}, points, 7)));
     envelopes_.push_back(SaveToString(*FitSpatial("ag", {}, points, 7)));
+    // Noisy-median splits: the tree body's explicit bounds.
+    envelopes_.push_back(
+        SaveToString(*FitSpatial("kdtree", {{"height", "6"}}, points, 7)));
+    // Fanout 16: 4-d bound codes and wide sibling blocks.
+    envelopes_.push_back(SaveToString(
+        *FitSpatial("privtree", {}, TestPoints(1500, 0x4D, 4), 7)));
 
     Rng rng(0x5EC);
     SequenceDataset data(4);
@@ -244,6 +254,11 @@ TEST_F(CompressedPayloadCorruptionTest,
         if (loaded.ok()) {
           std::ostringstream resaved;
           EXPECT_TRUE(loaded.value()->Save(resaved).ok());
+          if (hostile.metadata.method != "pst_privtree") {
+            const Box domain = Box::UnitCube(hostile.metadata.dim);
+            loaded.value()->Query(domain);
+            loaded.value()->QueryBatch(std::span<const Box>(&domain, 1));
+          }
         }
       }
     }

@@ -7,6 +7,8 @@
 // published number.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dp/budget.h"
@@ -28,40 +30,53 @@ namespace {
 constexpr std::uint64_t kSeed = 0xFEEDBEEF;
 constexpr double kEpsilon = 0.7;
 
-PointSet TestPoints() {
+/// Skewed in the first coordinate, uniform in the others.
+PointSet TestPoints(std::size_t dim = 2) {
   Rng rng(0xDA7A);
-  PointSet points(2);
-  std::vector<double> p(2);
+  PointSet points(dim);
+  std::vector<double> p(dim);
   for (int i = 0; i < 600; ++i) {
     p[0] = rng.NextDouble() * rng.NextDouble();
-    p[1] = rng.NextDouble();
+    for (std::size_t j = 1; j < dim; ++j) p[j] = rng.NextDouble();
     points.Add(p);
   }
   return points;
 }
 
-std::vector<Box> TestQueries() {
+std::vector<Box> TestQueries(std::size_t dim = 2) {
   std::vector<Box> queries;
   Rng rng(0x0B0E5);
+  std::vector<double> lo(dim), hi(dim);
   for (int i = 0; i < 25; ++i) {
-    const double x = rng.NextDouble() * 0.7;
-    const double y = rng.NextDouble() * 0.7;
-    queries.emplace_back(std::vector<double>{x, y},
-                         std::vector<double>{x + 0.3, y + 0.3});
+    for (std::size_t j = 0; j < dim; ++j) {
+      lo[j] = rng.NextDouble() * 0.7;
+      hi[j] = lo[j] + 0.3;
+    }
+    queries.emplace_back(lo, hi);
   }
   return queries;
 }
 
-/// Fits `name` through the registry under (kSeed, kEpsilon) and answers
-/// the shared query set with per-query Query.
+/// Fits `name` through the registry under (kSeed, kEpsilon) on the
+/// `dim`-dimensional test data and answers the shared query set with
+/// per-query Query.
 std::vector<double> AdapterAnswers(const std::string& name,
-                                   const release::MethodOptions& options = {}) {
+                                   const release::MethodOptions& options = {},
+                                   std::size_t dim = 2) {
   auto method = release::GlobalMethodRegistry().Create(name, options);
   PrivacyBudget budget(kEpsilon);
   Rng rng(kSeed);
-  method->Fit(TestPoints(), Box::UnitCube(2), budget, rng);
+  method->Fit(TestPoints(dim), Box::UnitCube(dim), budget, rng);
   std::vector<double> out;
-  for (const Box& q : TestQueries()) out.push_back(method->Query(q));
+  for (const Box& q : TestQueries(dim)) out.push_back(method->Query(q));
+  return out;
+}
+
+/// The builder's own per-query answers on the `dim`-dimensional queries.
+template <typename Synopsis>
+std::vector<double> LegacyAnswers(const Synopsis& synopsis, std::size_t dim) {
+  std::vector<double> out;
+  for (const Box& q : TestQueries(dim)) out.push_back(synopsis.Query(q));
   return out;
 }
 
@@ -173,6 +188,57 @@ TEST(MethodParityTest, PrivTreeWithOptions) {
       AdapterAnswers("privtree", {{"dims_per_split", "1"},
                                   {"tree_budget_fraction", "0.3"}}),
       legacy);
+}
+
+// The tree methods answer from their flat layout, whose walk must match
+// the builders' in every dimensionality and fanout, not just the 2-d
+// quadtree.
+TEST(MethodParityTest, TreeMethodsInOneThreeAndFourDimensions) {
+  for (const std::size_t dim : {1, 3, 4}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const PointSet points = TestPoints(dim);
+    const Box domain = Box::UnitCube(dim);
+    {
+      Rng rng(kSeed);
+      const SpatialHistogram hist =
+          BuildPrivTreeHistogram(points, domain, kEpsilon, {}, rng);
+      ExpectIdentical(AdapterAnswers("privtree", {}, dim),
+                      LegacyAnswers(hist, dim));
+    }
+    {
+      // Height 4 keeps the 4-d tree (fanout 16, every node split while its
+      // noisy count clears θ) small.
+      SimpleTreeHistogramOptions options;
+      options.height = 4;
+      Rng rng(kSeed);
+      const SpatialHistogram hist =
+          BuildSimpleTreeHistogram(points, domain, kEpsilon, options, rng);
+      ExpectIdentical(AdapterAnswers("simpletree", {{"height", "4"}}, dim),
+                      LegacyAnswers(hist, dim));
+    }
+    {
+      Rng rng(kSeed);
+      const KdTreeHistogram tree(points, domain, kEpsilon, {}, rng);
+      ExpectIdentical(AdapterAnswers("kdtree", {}, dim),
+                      LegacyAnswers(tree, dim));
+    }
+  }
+}
+
+TEST(MethodParityTest, PrivTreeSplittingFewerDimensionsThanTheDomain) {
+  for (const auto& [dim, per_split] :
+       {std::pair<std::size_t, int>{3, 1}, {4, 2}}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    PrivTreeHistogramOptions options;
+    options.dims_per_split = per_split;
+    Rng rng(kSeed);
+    const SpatialHistogram hist = BuildPrivTreeHistogram(
+        TestPoints(dim), Box::UnitCube(dim), kEpsilon, options, rng);
+    ExpectIdentical(
+        AdapterAnswers("privtree",
+                       {{"dims_per_split", std::to_string(per_split)}}, dim),
+        LegacyAnswers(hist, dim));
+  }
 }
 
 }  // namespace

@@ -117,8 +117,10 @@ TEST(SynopsisSerializationTest, EveryMethodRoundTripsBitForBit) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(got_batch[i], want_batch[i]) << "query " << i;
     }
-    EXPECT_EQ(loaded.value()->Query(queries.front()),
-              fitted->Query(queries.front()));
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(loaded.value()->Query(queries[i]), fitted->Query(queries[i]))
+          << "query " << i;
+    }
   }
 }
 

@@ -179,7 +179,7 @@ PrivatePstResult BuildPrivatePst(const SequenceDataset& data, double epsilon,
           s.subspan(0, p - 1), /*context_starts_sequence=*/true);
       const Symbol predicted =
           (p <= s.size()) ? s[p - 1]
-                          : static_cast<Symbol>(result.model.end_slot());
+                          : static_cast<Symbol>(result.model.alphabet_size());
       result.model.mutable_node(leaf).hist[predicted] += 1.0;
     }
   }

@@ -45,7 +45,7 @@ TEST(PstFigure3Test, RootHistogramMatchesPaper) {
   const auto& root = pst.node(pst.root());
   EXPECT_DOUBLE_EQ(root.hist[kA], 6.0);
   EXPECT_DOUBLE_EQ(root.hist[kB], 4.0);
-  EXPECT_DOUBLE_EQ(root.hist[pst.end_slot()], 4.0);
+  EXPECT_DOUBLE_EQ(root.hist[pst.alphabet_size()], 4.0);
 }
 
 TEST(PstFigure3Test, NodeHistogramsMatchPaper) {
@@ -56,10 +56,10 @@ TEST(PstFigure3Test, NodeHistogramsMatchPaper) {
   const auto& v3 = pst.node(root.children[kA]);
   EXPECT_DOUBLE_EQ(v3.hist[kA], 3.0);
   EXPECT_DOUBLE_EQ(v3.hist[kB], 3.0);
-  EXPECT_DOUBLE_EQ(v3.hist[pst.end_slot()], 0.0);
+  EXPECT_DOUBLE_EQ(v3.hist[pst.alphabet_size()], 0.0);
   // v4 = B-child: A: 0 | B: 0 | &: 4.
   const auto& v4 = pst.node(root.children[kB]);
-  EXPECT_DOUBLE_EQ(v4.hist[pst.end_slot()], 4.0);
+  EXPECT_DOUBLE_EQ(v4.hist[pst.alphabet_size()], 4.0);
   // v2 = $-child: A: 3 | B: 1 | &: 0.
   const auto& v2 = pst.node(root.children[pst.dollar()]);
   EXPECT_DOUBLE_EQ(v2.hist[kA], 3.0);
@@ -77,7 +77,7 @@ TEST(PstFigure3Test, NodeHistogramsMatchPaper) {
   const auto& v7 = pst.node(v3.children[kB]);
   EXPECT_DOUBLE_EQ(v7.hist[kA], 0.0);
   EXPECT_DOUBLE_EQ(v7.hist[kB], 0.0);
-  EXPECT_DOUBLE_EQ(v7.hist[pst.end_slot()], 0.0);
+  EXPECT_DOUBLE_EQ(v7.hist[pst.alphabet_size()], 0.0);
 }
 
 TEST(PstFigure3Test, StringFrequencyExampleFromPaper) {

@@ -88,7 +88,8 @@ void ExpectMatchesReference(const PointSet& points, const Box& root) {
   std::vector<MortonKey> reference;
   for (std::size_t i = 0; i < points.size(); ++i) {
     reference.push_back(
-        ReferenceKey(points.point(i), root, index.levels_per_dim()));
+        ReferenceKey(points.point(i), root,
+                     index.max_prefix_bits() / static_cast<int>(index.dim())));
     ASSERT_TRUE(index.KeyOf(points.point(i)) == reference.back())
         << "point " << i;
   }
@@ -294,11 +295,11 @@ TEST(MortonIndexTest, LevelsPerDimBudget) {
   Rng rng(6);
   const PointSet p2 = RandomPoints(10, 2, rng);
   const MortonIndex i2(p2, Box::UnitCube(2));
-  EXPECT_EQ(i2.levels_per_dim(), 63);
+  EXPECT_EQ(i2.max_prefix_bits() / 2, 63);
   EXPECT_EQ(i2.max_prefix_bits(), 126);
   const PointSet p4 = RandomPoints(10, 4, rng);
   const MortonIndex i4(p4, Box::UnitCube(4));
-  EXPECT_EQ(i4.levels_per_dim(), 31);
+  EXPECT_EQ(i4.max_prefix_bits() / 4, 31);
   EXPECT_EQ(i4.max_prefix_bits(), 124);
 }
 
